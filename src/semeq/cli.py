@@ -51,7 +51,7 @@ def _filters(args) -> FilterOptions:
     )
 
 
-def _enum_opts(args, split_override=None) -> EnumOptions:
+def _enum_opts(args) -> EnumOptions:
     return EnumOptions(
         threads=args.threads,
         checkpoint_path=args.checkpoint,

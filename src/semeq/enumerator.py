@@ -11,14 +11,19 @@ fresh label, which together with the fixed root star eliminates label
 symmetry; leftover isomorphic duplicates are removed afterwards by canonical
 code.
 
-State is mutated in place with an undo journal, so a search node costs a few
-dictionary operations plus an O(d^2) re-validation of the one vertex fan
-that changed.  Every prune is a necessary condition (edge used by at most
-two faces, the polyhedral face-intersection rules, partial fans embedding
-into the type cycle, face and label budgets), hence the search is
-exhaustive: it visits a superset of every map of the requested type, and
-each surviving completion is checked again by the full polyhedrality
-validator before being emitted.
+State is mutated in place with an undo journal.  Each candidate extension
+of the open face is tested before it is applied: the checks are pure
+functions of the state and the candidate, so the many candidates that fail
+cost no journal entries and no undo.  Every vertex fan is kept as a table
+of its open arcs, keyed by end neighbour, each entry holding the arc's other
+end and the word of its face sizes.  A new corner joins at most two arcs, so
+a fan check is a few lookups and one substring test against the type cycle,
+with no walk around the fan.  Every prune is a necessary condition (edge
+used by at most two faces, the polyhedral face-intersection rules, partial
+fans embedding into the type cycle, face and label budgets), hence the
+search is exhaustive: it visits a superset of every map of the requested
+type, and each surviving completion is checked again by the full
+polyhedrality validator before being emitted.
 """
 
 from __future__ import annotations
@@ -129,7 +134,14 @@ class _StopSearch(Exception):
 
 
 class _Search:
-    """Mutable search state with an undo journal."""
+    """Mutable search state with an undo journal.
+
+    The fan of a vertex v is kept as its open arcs, maximal chains of corner
+    faces at v that meet along edges of v: ``ends[v]`` maps each arc's end
+    neighbour u to ``(w, word)``, where w is the arc's other end neighbour and
+    word spells the arc's face sizes, one character per corner, read from
+    the corner at u to the corner at w.  A closed fan has no arcs.
+    """
 
     def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
                  pair_prune: bool = True, fresh_first: bool = False):
@@ -150,7 +162,7 @@ class _Search:
         self.fvset: list[set[int]] = []
         self.fclosed: list[bool] = []
         self.edge_faces: dict[tuple[int, int], list[int]] = {}
-        self.pair_edges: dict[tuple[int, int], int] = {}
+        self.pair_edges: set[tuple[int, int]] = set()
         self.pair_verts: dict[tuple[int, int], list[int]] = {}
         self.vfaces: list[list[int]] = [[] for _ in range(n + 1)]
         self.budget = dict(budgets)
@@ -158,8 +170,8 @@ class _Search:
         self.type_mult: dict[int, int] = {}
         for s in cycle:
             self.type_mult[s] = self.type_mult.get(s, 0) + 1
-        self.corners: list[dict[int, tuple[int, int]]] = [dict() for _ in range(n + 1)]
         self.corner_count = [0] * (n + 1)
+        self.ends: list[dict[int, tuple[int, str]]] = [dict() for _ in range(n + 1)]
         self.fan_closed = bytearray(n + 1)
         self.labels_used = 0
         self.journal: list[tuple] = []
@@ -174,22 +186,44 @@ class _Search:
         while len(j) > mark:
             op = j.pop()
             tag = op[0]
-            if tag == 0:  # append
+            if tag == 0:  # vertex appended to a face
                 fid = op[1]
                 y = self.fpath[fid].pop()
                 self.fvset[fid].discard(y)
-            elif tag == 1:  # edge
+            elif tag == 1:  # face laid along an edge
                 key = op[1]
                 lst = self.edge_faces[key]
-                lst.pop()
+                f = lst.pop()
                 if not lst:
                     del self.edge_faces[key]
-            elif tag == 2:  # corner
-                v, fid = op[1], op[2]
-                del self.corners[v][fid]
+                elif self.pair_prune:
+                    g = lst[0]
+                    self.pair_edges.discard((g, f) if g < f else (f, g))
+            elif tag == 2:  # corner, with the arc-end entries it replaced
+                _, v, a, arc_a, b, arc_b, far_a, far_b = op
+                ends = self.ends[v]
                 self.corner_count[v] -= 1
-            elif tag == 3:  # fan closed
-                self.fan_closed[op[1]] = 0
+                self.fan_closed[v] = 0
+                if arc_a is None or arc_a[0] != b:
+                    del ends[a if arc_a is None else arc_a[0]]
+                    del ends[b if arc_b is None else arc_b[0]]
+                if arc_a is not None:
+                    ends[a] = arc_a
+                    ends[arc_a[0]] = far_a
+                if arc_b is not None:
+                    ends[b] = arc_b
+                    ends[arc_b[0]] = far_b
+            elif tag == 3:  # vertex shared with the faces already at it
+                fid, y = op[1], op[2]
+                vf = self.vfaces[y]
+                vf.pop()
+                pv = self.pair_verts
+                for g in vf:
+                    pkey = (g, fid) if g < fid else (fid, g)
+                    lst = pv[pkey]
+                    lst.pop()
+                    if not lst:
+                        del pv[pkey]
             elif tag == 4:  # face created
                 fid = op[1]
                 self.budget[self.fsize[fid]] += 1
@@ -203,103 +237,61 @@ class _Search:
                 self.labels_used -= 1
             elif tag == 7:  # path reversed
                 self.fpath[op[1]].reverse()
-            elif tag == 8:  # face-pair shared-edge counter
-                pkey = op[1]
-                cnt = self.pair_edges[pkey] - 1
-                if cnt:
-                    self.pair_edges[pkey] = cnt
-                else:
-                    del self.pair_edges[pkey]
-            elif tag == 9:  # face-pair shared-vertex list
-                pkey = op[1]
-                lst = self.pair_verts[pkey]
-                lst.pop()
-                if not lst:
-                    del self.pair_verts[pkey]
-            elif tag == 10:  # vertex-face incidence
-                self.vfaces[op[1]].pop()
 
-    # -- mutators (log first, then check; caller unwinds on False) --------
+    # -- checks: pure functions of the state and one prospective change -----
 
-    def _add_edge(self, a: int, b: int, fid: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        lst = self.edge_faces.get(key)
+    def _edge_ok(self, a: int, b: int, fid: int, c: str) -> bool:
+        """Face fid (size character c) may be laid along edge {a, b}: the edge
+        has a free side, and a face already on it has a size next to c
+        somewhere in the type cycle (the two sit side by side in both
+        endpoint fans) and shares no other edge with fid."""
+        lst = self.edge_faces.get((a, b) if a < b else (b, a))
         if lst is None:
-            self.edge_faces[key] = [fid]
-            self.journal.append((1, key))
             return True
         if len(lst) >= 2:
             return False
-        lst.append(fid)
-        self.journal.append((1, key))
         g = lst[0]
-        # the two faces along an edge sit next to each other in both endpoint
-        # fans, so their sizes must be adjacent somewhere in the type cycle
-        w = self.size_char[self.fsize[g]] + self.size_char[self.fsize[fid]]
+        w = self.size_char[self.fsize[g]] + c
         if w not in self.t2 and w not in self.r2:
             return False
-        if self.pair_prune:
-            pkey = (g, fid) if g < fid else (fid, g)
-            cnt = self.pair_edges.get(pkey, 0) + 1
-            self.pair_edges[pkey] = cnt
-            self.journal.append((8, pkey))
-            if cnt > 1:
-                return False
-        return True
+        return not self.pair_prune or ((g, fid) if g < fid else (fid, g)) not in self.pair_edges
 
-    def _add_corner(self, v: int, fid: int, a: int, b: int) -> bool:
-        if self.corner_count[v] >= self.d:
-            return False
-        self.corners[v][fid] = (a, b)
-        self.corner_count[v] += 1
-        self.journal.append((2, v, fid))
-        return self._validate_vertex(v)
-
-    def _pair_feasible(self, f: int, g: int, u: int, w: int) -> bool:
+    def _pair_feasible(self, f: int, g: int, u: int, w: int, f_fits: bool = False) -> bool:
         """Two faces sharing the vertices u and w must share exactly the edge
-        {u, w}: each face must already carry that edge or still be able to
-        close on it, and no third face may sit on it."""
+        {u, w}: no third face may sit on it, and each face must carry it or
+        still be able to close on it.  For f that is read from the tables
+        unless f_fits already says so."""
         key = (u, w) if u < w else (w, u)
         efs = self.edge_faces.get(key, ())
         for h in efs:
             if h != f and h != g:
                 return False
-        for p in (f, g):
-            if p in efs:
-                continue
-            if self.fclosed[p]:
-                return False
-            path = self.fpath[p]
-            if (path[0] == u and path[-1] == w) or (path[0] == w and path[-1] == u):
-                continue
+        if not f_fits and f not in efs:
             return False
-        return True
-
-    def _add_shared(self, fid: int, y: int) -> bool:
-        """Record that face fid now contains y and check every face pair
-        meeting at y against the polyhedral intersection conditions."""
-        if not self.pair_prune:
+        if g in efs:
             return True
-        vf = self.vfaces[y]
-        ok = True
-        for g in vf:
-            pkey = (g, fid) if g < fid else (fid, g)
-            lst = self.pair_verts.get(pkey)
+        if self.fclosed[g]:
+            return False
+        path = self.fpath[g]
+        return (path[0] == u and path[-1] == w) or (path[0] == w and path[-1] == u)
+
+    def _shared_ok(self, fid: int, y: int) -> bool:
+        """Extending the open face fid by y keeps every face pair meeting at
+        y within the polyhedral intersection conditions."""
+        path = self.fpath[fid]
+        v, first = path[-1], path[0]
+        pv = self.pair_verts
+        for g in self.vfaces[y]:
+            lst = pv.get((g, fid) if g < fid else (fid, g))
             if lst is None:
-                self.pair_verts[pkey] = [y]
-                self.journal.append((9, pkey))
                 continue
-            lst.append(y)
-            self.journal.append((9, pkey))
-            if len(lst) > 2:
-                ok = False
-                break
-            if not self._pair_feasible(fid, g, lst[0], lst[1]):
-                ok = False
-                break
-        vf.append(fid)
-        self.journal.append((10, y))
-        return ok
+            if len(lst) >= 2:
+                return False
+            # fid will carry {v, y}, and can still close on {first, y}
+            u = lst[0]
+            if not self._pair_feasible(fid, g, u, y, u == v or u == first):
+                return False
+        return True
 
     def _recheck_pairs(self, fid: int) -> bool:
         """After fid closes, pairs that were deferred while it could still
@@ -318,167 +310,93 @@ class _Search:
                         return False
         return True
 
-    def _corner_partner(self, v: int, fid: int, u: int):
-        """The other corner face of v attached across edge {v, u}, or -1."""
-        key = (v, u) if v < u else (u, v)
-        lst = self.edge_faces[key]
-        if len(lst) == 2:
-            other = lst[1] if lst[0] == fid else lst[0]
-            if other in self.corners[v]:
-                return other
-        return -1
+    def _validate_vertex(self, v: int, a: int, b: int, c: str) -> bool:
+        """Whether the fan of v stays valid when a corner between
+        neighbours a and b, of a face with size character c, joins it.  A
+        pure test: the corner is not added, so a candidate can be rejected
+        before anything is applied.
 
-    def _validate_vertex(self, v: int) -> bool:
-        """Re-check the fan of v: arcs must chain, embed into the type cycle,
-        and close exactly when the degree is reached.
-
-        Corner faces at v are adjacent when they share one of v's edges; the
-        edge table caps an edge at two faces, so the corner graph is a union
-        of paths and cycles.  A cycle is only legal as the full fan.
+        The fan is read from the arc-end table ``ends[v]``.  The corner joins
+        at most two arcs, the ones ending at a and at b, so the test is two
+        lookups plus one substring test of the joined size word in
+        ``t2``/``r2``.  Closing an arc into a cycle is legal only as the
+        whole fan; otherwise every arc must embed in the type cycle, and
+        joining k arcs into the fan takes at least k more corners.  A fan
+        one corner short needs no further test: a word of d - 1 sizes that
+        embeds is completed by the missing size.
         """
-        count = self.corner_count[v]
-        if count == 1:
-            return True
-        cdict = self.corners[v]
-        sc = self.size_char
-        fs = self.fsize
-        if count == 2:
-            (f1, (a1, b1)), (f2, (a2, b2)) = cdict.items()
-            shared = (a1 == a2) + (a1 == b2) + (b1 == a2) + (b1 == b2)
-            if shared == 0:
-                # two disjoint arcs need two more connecting corners
-                return self.d >= 4
-            if shared >= 2:
-                return False
-            w = sc[fs[f1]] + sc[fs[f2]]
-            return w in self.t2 or w in self.r2
-        partner = self._corner_partner
-        visited = set()
-        cycle = False
-        words: list[str] = []
-        for fid, (a, b) in cdict.items():
-            if fid in visited:
-                continue
-            if partner(v, fid, a) == -1:
-                start_nbr = a
-            elif partner(v, fid, b) == -1:
-                start_nbr = b
+        count = self.corner_count[v] + 1
+        d = self.d
+        if count > d:
+            return False
+        ends = self.ends[v]
+        arc_a = ends.get(a)
+        arc_b = ends.get(b)
+        arcs = len(ends) >> 1
+        if arc_a is None:
+            if arc_b is None:
+                arcs += 1
+                word = c
             else:
-                continue  # interior corner or cycle member
-            comp = [fid]
-            visited.add(fid)
-            prev_nbr, cur = start_nbr, fid
-            while True:
-                aa, bb = cdict[cur]
-                out = bb if prev_nbr == aa else aa
-                nxt = partner(v, cur, out)
-                if nxt == -1:
-                    break
-                comp.append(nxt)
-                visited.add(nxt)
-                prev_nbr, cur = out, nxt
-            words.append("".join(sc[fs[f]] for f in comp))
-        if len(visited) != count:
-            # remaining corners close a cycle; legal only as the whole fan
-            if visited or count != self.d:
-                return False
-            fid = next(iter(cdict))
-            comp = [fid]
-            prev_nbr, cur = cdict[fid][0], fid
-            while True:
-                a2, b2 = cdict[cur]
-                out = b2 if prev_nbr == a2 else a2
-                nxt = partner(v, cur, out)
-                if nxt == fid:
-                    break
-                comp.append(nxt)
-                prev_nbr, cur = out, nxt
-            if len(comp) != count:
-                return False
-            word = "".join(sc[fs[f]] for f in comp)
-            if word not in self.t2 and word not in self.r2:
-                return False
-            self.fan_closed[v] = 1
-            self.journal.append((3, v))
-            return True
-        if count == self.d:
+                word = c + arc_b[1]
+        elif arc_b is None:
+            word = c + arc_a[1]
+        elif arc_a[0] == b:
+            # the arc closes into a cycle: legal only as the whole fan (a
+            # valid fan one corner short is a single arc)
+            word = c + arc_a[1]
+            return count == d and (word in self.t2 or word in self.r2)
+        else:
+            arcs -= 1
+            word = ends[arc_a[0]][1] + c + arc_b[1]
+        if count == d or d - count < arcs:
             return False
-        # joining k arcs into the fan cycle takes at least k more corners
-        if self.d - count < len(words):
-            return False
-        for word in words:
-            if word not in self.t2 and word not in self.r2:
-                return False
-        if count == self.d - 1:
-            # a single face must close the fan; its size must complete a
-            # rotation of the type cycle
-            word = words[0]
-            for s in self.sizes_sorted:
-                w = word + sc[s]
-                if w in self.t2 or w in self.r2:
-                    return True
-            return False
-        return True
-
-    def _half_corner_ok(self, y: int, v: int, newfid: int) -> bool:
-        """The new face was just laid along edge {v, y} but has no corner at
-        y yet.  If the other face on that edge already has a corner at y, the
-        new face is forced to sit next to it in y's fan, so the arc word
-        extended by the new face's size must still embed."""
-        key = (v, y) if v < y else (y, v)
-        lst = self.edge_faces[key]
-        if len(lst) != 2:
-            return True
-        g = lst[1] if lst[0] == newfid else lst[0]
-        cdict = self.corners[y]
-        if g not in cdict:
-            return True
-        comp = [g]
-        prev_nbr, cur = v, g
-        while True:
-            aa, bb = cdict[cur]
-            out = bb if prev_nbr == aa else aa
-            nxt = self._corner_partner(y, cur, out)
-            if nxt == -1 or nxt == g:
-                break
-            comp.append(nxt)
-            prev_nbr, cur = out, nxt
-        sc = self.size_char
-        fs = self.fsize
-        word = "".join(sc[fs[f]] for f in reversed(comp)) + sc[fs[newfid]]
         return word in self.t2 or word in self.r2
 
-    def _start_face(self, size: int, x: int, v: int) -> bool:
-        fid = len(self.fsize)
-        self.budget[size] -= 1
-        self.fsize.append(size)
-        self.fpath.append([x, v])
-        self.fvset.append({x, v})
-        self.fclosed.append(False)
-        self.journal.append((4, fid))
-        if not self._add_edge(x, v, fid):
-            return False
-        if not (self._add_shared(fid, x) and self._add_shared(fid, v)):
-            return False
-        return self._half_corner_ok(x, v, fid) and self._half_corner_ok(v, x, fid)
+    def _half_corner_ok(self, y: int, v: int, c: str) -> bool:
+        """A face of size character c is laid along edge {v, y} without a
+        corner at y yet.  If an arc of y's fan ends at v, the face is forced
+        to sit next to it in y's fan, so the arc word extended by c must
+        still embed."""
+        arc = self.ends[y].get(v)
+        if arc is None:
+            return True
+        w = c + arc[1]
+        return w in self.t2 or w in self.r2
 
-    def _close_face(self, fid: int) -> bool:
+    def _append_ok(self, fid: int, y: int) -> bool:
+        """Whether extending the open face fid by y passes the checks of the
+        step that the current state decides: the edge {v, y} (v the path's
+        last vertex), the face pairs meeting at y, the fan at v with its new
+        corner, and then either the half corner at y or, when the step
+        closes the face, the closing edge {y, first} and the fans at y and
+        first with their new corners.  Mutates nothing.  The checks that
+        need the closed face run in _close_face once the step is applied."""
         path = self.fpath[fid]
-        self.fclosed[fid] = True
-        self.journal.append((5, fid))
-        first, second, seclast, last = path[0], path[1], path[-2], path[-1]
-        if not self._add_edge(last, first, fid):
+        v = path[-1]
+        c = self.size_char[self.fsize[fid]]
+        # the fan test comes first: it rejects the most candidates
+        if len(path) == 1:
+            # a face being begun: v gets the new edge but no corner yet
+            if not self._half_corner_ok(v, y, c):
+                return False
+        elif not self._validate_vertex(v, path[-2], y, c):
             return False
-        if not self._add_corner(last, fid, seclast, first):
+        if not self._edge_ok(v, y, fid, c):
             return False
-        if not self._add_corner(first, fid, last, second):
+        if self.pair_prune and not self._shared_ok(fid, y):
             return False
-        if not self._recheck_pairs(fid):
-            return False
-        size = self.fsize[fid]
-        if self.budget[size] == 0 and not self._size_supply_ok(size):
-            return False
-        return True
+        if len(path) + 1 < self.fsize[fid]:
+            return self._half_corner_ok(y, v, c)
+        # the closing checks may read the state before the step: its edge
+        # {v, y} and corner at v touch neither the fans of y and first nor
+        # the edge {y, first}; and a face on both new edges, which would
+        # share two edges with fid, shares v and first with it, which
+        # _shared_ok has rejected
+        first = path[0]
+        return (self._validate_vertex(y, v, first, c)
+                and self._validate_vertex(first, y, path[1], c)
+                and self._edge_ok(y, first, fid, c))
 
     def _size_supply_ok(self, s: int) -> bool:
         """No s-faces remain (budget spent, none open): every vertex must
@@ -486,37 +404,123 @@ class _Search:
         missing."""
         if self.labels_used < self.n:
             return False
-        need = self.type_mult[s]
-        fs = self.fsize
+        # an open fan's corners are those of its arcs, each arc listed at
+        # both of its ends
+        need = 2 * self.type_mult[s]
+        ch = self.size_char[s]
         for v in range(1, self.labels_used + 1):
             if self.fan_closed[v]:
                 continue
-            cnt = 0
-            for fid in self.corners[v]:
-                if fs[fid] == s:
-                    cnt += 1
-            if cnt < need:
+            if sum(word.count(ch) for _, word in self.ends[v].values()) < need:
                 return False
         return True
 
+    # -- mutators (journaled; the checks above have passed) ----------------
+
+    def _put_edge(self, a: int, b: int, fid: int) -> None:
+        key = (a, b) if a < b else (b, a)
+        lst = self.edge_faces.get(key)
+        if lst is None:
+            self.edge_faces[key] = [fid]
+        else:
+            if self.pair_prune:
+                g = lst[0]
+                self.pair_edges.add((g, fid) if g < fid else (fid, g))
+            lst.append(fid)
+        self.journal.append((1, key))
+
+    def _put_shared(self, fid: int, y: int) -> None:
+        """Record that face fid now contains y."""
+        vf = self.vfaces[y]
+        pv = self.pair_verts
+        for g in vf:
+            pkey = (g, fid) if g < fid else (fid, g)
+            lst = pv.get(pkey)
+            if lst is None:
+                pv[pkey] = [y]
+            else:
+                lst.append(y)
+        vf.append(fid)
+        self.journal.append((3, fid, y))
+
+    def _put_corner(self, v: int, fid: int, a: int, b: int) -> None:
+        """Add the corner of fid at v between neighbours a and b, joining the
+        arcs that end at a and at b."""
+        ends = self.ends[v]
+        c = self.size_char[self.fsize[fid]]
+        arc_a = ends.pop(a, None)
+        arc_b = ends.pop(b, None)
+        self.corner_count[v] += 1
+        if arc_a is not None and arc_a[0] == b:
+            # the last arc closes into the full fan cycle
+            self.fan_closed[v] = 1
+            far_a, far_b = arc_b, arc_a
+        else:
+            far_a = far_b = None
+            end_a, fwd_a, back_a = a, "", ""
+            if arc_a is not None:
+                end_a = arc_a[0]
+                far_a = ends[end_a]
+                fwd_a, back_a = far_a[1], arc_a[1]
+            end_b, fwd_b, back_b = b, "", ""
+            if arc_b is not None:
+                end_b = arc_b[0]
+                far_b = ends[end_b]
+                fwd_b, back_b = arc_b[1], far_b[1]
+            ends[end_a] = (end_b, fwd_a + c + fwd_b)
+            ends[end_b] = (end_a, back_b + c + back_a)
+        self.journal.append((2, v, a, arc_a, b, arc_b, far_a, far_b))
+
+    def _start_face(self, size: int, x: int, v: int) -> bool:
+        """Begin a face of the given size on edge {x, v}: open it at x, then
+        extend it by v.  Applied before it is checked; the caller unwinds
+        on False."""
+        fid = len(self.fsize)
+        self.budget[size] -= 1
+        self.fsize.append(size)
+        self.fpath.append([x])
+        self.fvset.append({x})
+        self.fclosed.append(False)
+        self.journal.append((4, fid))
+        if self.pair_prune:
+            self._put_shared(fid, x)
+        return self._append_ok(fid, v) and self._append_vertex(fid, v, False)
+
     def _append_vertex(self, fid: int, y: int, fresh: bool) -> bool:
+        """Extend face fid by y, a step that passed _append_ok.  Only a step
+        that closes the face can still fail; the caller unwinds on False."""
         if fresh:
             self.labels_used += 1
             self.journal.append((6,))
         path = self.fpath[fid]
-        x, v = path[-2], path[-1]
+        v = path[-1]
+        self._put_edge(v, y, fid)
+        if self.pair_prune:
+            self._put_shared(fid, y)
+        if len(path) > 1:
+            self._put_corner(v, fid, path[-2], y)
         path.append(y)
         self.fvset[fid].add(y)
         self.journal.append((0, fid))
-        if not self._add_edge(v, y, fid):
-            return False
-        if not self._add_shared(fid, y):
-            return False
-        if not self._add_corner(v, fid, x, y):
-            return False
         if len(path) == self.fsize[fid]:
             return self._close_face(fid)
-        return self._half_corner_ok(y, v, fid)
+        return True
+
+    def _close_face(self, fid: int) -> bool:
+        """Close fid along edge {last, first}, a step _append_ok passed.  The
+        deferred face pairs and the size supply are checked on the closed
+        state; the caller unwinds on False."""
+        path = self.fpath[fid]
+        self.fclosed[fid] = True
+        self.journal.append((5, fid))
+        first, last = path[0], path[-1]
+        self._put_edge(last, first, fid)
+        self._put_corner(last, fid, path[-2], first)
+        self._put_corner(first, fid, last, path[1])
+        if not self._recheck_pairs(fid):
+            return False
+        size = self.fsize[fid]
+        return self.budget[size] > 0 or self._size_supply_ok(size)
 
     # -- seeding -----------------------------------------------------------
 
@@ -539,7 +543,7 @@ class _Search:
             fid = len(self.fsize) - 1
             for j in range(1, size - 1):
                 y = ring[(off + j) % m]
-                if not self._append_vertex(fid, y, fresh=False):
+                if not (self._append_ok(fid, y) and self._append_vertex(fid, y, False)):
                     return False
             off += size - 2
         return bool(self.fan_closed[1])
@@ -557,8 +561,7 @@ class _Search:
         nf = len(self.fsize)
         if nf and not self.fclosed[nf - 1]:
             fid = nf - 1
-            tail = self.extend_candidates(fid, head=False)
-            head = self.extend_candidates(fid, head=True)
+            tail, head = self.extend_candidates(fid)
             if len(head) < len(tail):
                 self.fpath[fid].reverse()
                 self.journal.append((7, fid))
@@ -576,76 +579,61 @@ class _Search:
                 best = cc[u]
         if not v:
             return ("complete",)
-        cdict = self.corners[v]
-        nbr_map: dict[int, list[int]] = {}
-        for fid, (a, b) in cdict.items():
-            for u in (a, b):
-                nbr_map.setdefault(u, []).append(fid)
-        best_nbr = None
-        best_fid = None
-        for fid, (a, b) in cdict.items():
-            for u in (a, b):
-                if len(nbr_map[u]) == 1 and (best_nbr is None or u < best_nbr):
-                    best_nbr = u
-                    best_fid = fid
-        # orient the arc containing best_fid so the chosen end comes last
-        comp = [best_fid]
-        prev_nbr, cur = best_nbr, best_fid
-        while True:
-            aa, bb = cdict[cur]
-            out = bb if prev_nbr == aa else aa
-            partners = nbr_map[out]
-            if len(partners) < 2:
-                break
-            nxt = partners[0] if partners[1] == cur else partners[1]
-            comp.append(nxt)
-            prev_nbr, cur = out, nxt
-        word = "".join(self.size_char[self.fsize[f]] for f in reversed(comp))
+        # the new face goes at the lowest arc end; its size must extend the
+        # arc read from that end
+        ends = self.ends[v]
+        best_nbr = min(ends)
+        word = ends[best_nbr][1]
         sizes = []
         for s in self.sizes_sorted:
             if self.budget[s] > 0:
-                w = word + self.size_char[s]
+                w = self.size_char[s] + word
                 if w in self.t2 or w in self.r2:
                     sizes.append(s)
         return ("start", v, best_nbr, sizes)
 
-    def extend_candidates(self, fid: int, head: bool = False) -> list[tuple[int, bool]]:
+    def extend_candidates(self, fid: int) -> tuple[list, list]:
+        """Labels that may extend the open face fid at its tail (after the
+        last path vertex) and at its head (before the first), each as a list
+        of (label, fresh) in branching order.  A label is excluded when its
+        fan is full or the new edge to it already carries two faces."""
         path = self.fpath[fid]
-        if head:
-            v, first = path[0], path[-1]
-        else:
-            v, first = path[-1], path[0]
+        last, first = path[-1], path[0]
         vset = self.fvset[fid]
-        will_close = len(path) + 1 == self.fsize[fid]
         edge_faces = self.edge_faces
         corner_count = self.corner_count
         d = self.d
-        out = []
+        closing = len(path) + 1 == self.fsize[fid]
+        tail: list[tuple[int, bool]] = []
+        head: list[tuple[int, bool]] = []
         for y in range(2, self.labels_used + 1):
-            if y in vset:
+            if y in vset or corner_count[y] >= d:
                 continue
-            if corner_count[y] >= d:
-                continue
-            key = (v, y) if v < y else (y, v)
-            lst = edge_faces.get(key)
-            if lst is not None and len(lst) >= 2:
-                continue
-            if will_close:
-                ckey = (y, first) if y < first else (first, y)
-                clst = edge_faces.get(ckey)
-                if clst is not None and len(clst) >= 2:
-                    continue
-                if corner_count[first] >= d:
-                    continue
-            out.append((y, False))
+            lst = edge_faces.get((last, y) if last < y else (y, last))
+            free_tail = lst is None or len(lst) < 2
+            lst = edge_faces.get((first, y) if first < y else (y, first))
+            free_head = lst is None or len(lst) < 2
+            if closing:
+                # a closing step lays both edges at y, whichever end it takes
+                free_tail = free_head = free_tail and free_head
+            if free_tail:
+                tail.append((y, False))
+            if free_head:
+                head.append((y, False))
         if self.labels_used < self.n:
-            y = self.labels_used + 1
-            if not (will_close and corner_count[first] >= d):
+            fresh = (self.labels_used + 1, True)
+            for out in (tail, head):
                 if self.fresh_first:
-                    out.insert(0, (y, True))
+                    out.insert(0, fresh)
                 else:
-                    out.append((y, True))
-        return out
+                    out.append(fresh)
+        if closing:
+            # the step also puts a corner at the path's far end
+            if corner_count[first] >= d:
+                tail = []
+            if corner_count[last] >= d:
+                head = []
+        return tail, head
 
     def snapshot_faces(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(p) for p in self.fpath)
@@ -690,24 +678,33 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     ``split_depth`` is set, subtrees rooted at that depth are appended to
     ``frontier`` instead of being explored.  Returns False when the node
     quota was exhausted before the subtree was finished.
+
+    An extension candidate is tested before anything is applied, so a
+    rejected one costs no journal entries; a closing step that passes still
+    checks the closed face once applied, and a new face is applied before
+    it is checked, both unwound when they fail.  Either way a rejected
+    candidate counts as one ``constraint`` prune.
     """
-    state = {"nodes": 0, "exhausted": False}
+    nodes = 0
+    pruned = 0
+    exhausted = False
+    track = split_depth is not None
 
     def rec(depth: int, path: tuple[int, ...]) -> None:
-        if state["exhausted"]:
-            return
+        nonlocal nodes, pruned, exhausted
         slot = st.find_slot()
         kind = slot[0]
         if kind == "complete":
             _on_complete(st, stats, collector, first_only)
             return
-        if split_depth is not None and depth >= split_depth:
+        if track and depth >= split_depth:
             frontier.append(path)
             return
-        if kind == "start":
-            cands = slot[3]
+        extend = kind == "extend"
+        if extend:
+            fid, cands = slot[1], slot[2]
         else:
-            cands = slot[2]
+            v, x, cands = slot[1], slot[2], slot[3]
         if depth < len(prefix):
             idx = prefix[depth]
             if idx >= len(cands):
@@ -720,28 +717,31 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             if rng is not None:
                 cands = list(cands)
                 rng.shuffle(cands)
-            chosen = tuple(enumerate(cands))
+            chosen = enumerate(cands)
             count_nodes = True
-        track = split_depth is not None
         for idx, cand in chosen:
-            if state["exhausted"]:
+            if exhausted:
                 break
-            m = st.mark()
-            if kind == "start":
-                ok = st._start_face(cand, slot[2], slot[1])
+            if extend:
+                y = cand[0]
+                if not st._append_ok(fid, y):
+                    pruned += 1
+                    continue
+                m = st.mark()
+                ok = st._append_vertex(fid, y, cand[1])
             else:
-                ok = st._append_vertex(slot[1], cand[0], cand[1])
+                m = st.mark()
+                ok = st._start_face(cand, x, v)
             if ok:
                 if count_nodes:
-                    state["nodes"] += 1
-                    stats.nodes += 1
-                    if node_quota is not None and state["nodes"] > node_quota:
-                        state["exhausted"] = True
+                    nodes += 1
+                    if node_quota is not None and nodes > node_quota:
+                        exhausted = True
                         stats.bump("budget")
-                if not state["exhausted"]:
+                if not exhausted:
                     rec(depth + 1, path + (idx,) if track else path)
             else:
-                stats.bump("constraint")
+                pruned += 1
             st.undo_to(m)
 
     mark0 = st.mark()
@@ -749,7 +749,10 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
         rec(0, ())
     finally:
         st.undo_to(mark0)
-    return not state["exhausted"]
+        stats.nodes += nodes
+        if pruned:
+            stats.prunes["constraint"] = stats.prunes.get("constraint", 0) + pruned
+    return not exhausted
 
 
 def _fresh_search(cycle: tuple[int, ...], n: int, budgets: dict[int, int],
@@ -886,8 +889,6 @@ def _normalize_type(t) -> VertexTypeSpec:
 
 
 def _consistency_diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
-    from fractions import Fraction
-
     d = spec.degree
     if (n * d) % 2:
         return f"n*d = {n}*{d} is odd, so the edge count n*d/2 is not an integer"
@@ -914,11 +915,11 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     spec = _normalize_type(t)
     if n < 1:
         raise InconsistentParametersError(f"vertex count must be positive, got {n}")
-    t_start = time.time()
+    t_start = time.perf_counter()
     stats = EnumerationStats()
 
     def finish(collector: dict, complete: bool, diagnostic=None) -> EnumerationResult:
-        stats.wall_seconds = time.time() - t_start
+        stats.wall_seconds = time.perf_counter() - t_start
         codes = tuple(sorted(collector))
         maps = tuple(build_from_faces(FaceListMap(n, collector[c])) for c in codes)
         return EnumerationResult(maps=maps, codes=codes, stats=stats,

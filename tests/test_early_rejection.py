@@ -1,0 +1,258 @@
+"""Early rejection in the search kernel is exact.
+
+The search tests each extension candidate with ``_Search._append_ok`` before
+it applies anything, using the arc-end tables of the vertex fans.  These
+tests walk whole search trees and hold every extension candidate against an
+oracle that appends the vertex to a copy of the face paths and re-derives,
+from the paths alone, each check the step made when it was applied before
+being checked: edge loads, adjacent-size words, the face-pair intersection
+rules and, corner by corner, the fans that get a new corner.  Only the checks
+that need the closed face (deferred face pairs, size supply) are left to the
+applied step.
+"""
+
+import pytest
+
+from semeq.enumerator import EnumOptions, _fresh_search, enumerate_maps
+from semeq.typecalc import face_counts, parse_type
+
+
+class _View:
+    """The state after extending the open face ``fid`` by ``y`` (and closing
+    it, when ``close``), rebuilt from face paths."""
+
+    def __init__(self, st, edges, fid, y, close=False):
+        self.st = st
+        self.fid = fid
+        self.paths = list(st.fpath)
+        self.paths[fid] = path = st.fpath[fid] + [y]
+        self.closed = list(st.fclosed)
+        self.closed[fid] = close
+        self.edges = edges
+        self.new_edges = {frozenset(path[-2:])}
+        if close:
+            self.new_edges.add(frozenset((y, path[0])))
+
+    def faces_on(self, a, b):
+        key = frozenset((a, b))
+        faces = self.edges.get(key, [])
+        return faces + [self.fid] if key in self.new_edges else faces
+
+    def face_edges(self, f):
+        p = self.paths[f]
+        k = len(p)
+        return [frozenset((p[i], p[(i + 1) % k])) for i in range(k if self.closed[f] else k - 1)]
+
+    def char(self, f):
+        return self.st.size_char[self.st.fsize[f]]
+
+    def embeds(self, word):
+        return word in self.st.t2 or word in self.st.r2
+
+    def corners(self, v):
+        out = {}
+        for f, p in enumerate(self.paths):
+            if v not in p:
+                continue
+            i = p.index(v)
+            if self.closed[f]:
+                out[f] = (p[i - 1], p[(i + 1) % len(p)])
+            elif 0 < i < len(p) - 1:
+                out[f] = (p[i - 1], p[i + 1])
+        return out
+
+    def partner(self, v, cdict, f, u):
+        """The other corner face of v across the edge {v, u}, or None."""
+        faces = self.faces_on(v, u)
+        if len(faces) == 2:
+            other = faces[1] if faces[0] == f else faces[0]
+            if other in cdict:
+                return other
+        return None
+
+    def walk(self, v, cdict, f, start):
+        """Corner faces from f along v's fan, leaving f away from start."""
+        comp = [f]
+        prev, cur = start, f
+        while True:
+            a, b = cdict[cur]
+            out = b if prev == a else a
+            nxt = self.partner(v, cdict, cur, out)
+            if nxt is None or nxt == f:
+                return comp
+            comp.append(nxt)
+            prev, cur = out, nxt
+
+    def edge_ok(self, a, b):
+        """fid may be laid along {a, b}: at most one other face on it, of an
+        adjacent size, sharing no other edge with fid (pair prune)."""
+        others = [f for f in self.faces_on(a, b) if f != self.fid]
+        if len(others) >= 2:
+            return False
+        if others:
+            g = others[0]
+            if not self.embeds(self.char(g) + self.char(self.fid)):
+                return False
+            key = frozenset((a, b))
+            if self.st.pair_prune and any(
+                e != key and g in self.faces_on(*e) for e in self.face_edges(self.fid)
+            ):
+                return False
+        return True
+
+    def pair_ok(self, f, g, u, w):
+        faces = self.faces_on(u, w)
+        if any(h != f and h != g for h in faces):
+            return False
+        for p in (f, g):
+            if p in faces:
+                continue
+            path = self.paths[p]
+            if self.closed[p] or {path[0], path[-1]} != {u, w}:
+                return False
+        return True
+
+    def shared_ok(self, y):
+        mine = set(self.paths[self.fid])
+        for g, p in enumerate(self.paths):
+            if g == self.fid or y not in p:
+                continue
+            shared = mine.intersection(p)
+            if len(shared) > 2:
+                return False
+            if len(shared) == 2:
+                (u,) = shared - {y}
+                if not self.pair_ok(self.fid, g, u, y):
+                    return False
+        return True
+
+    def fan_ok(self, v):
+        cdict = self.corners(v)
+        count, d = len(cdict), self.st.d
+        if count > d:
+            return False
+        if count == 1:
+            return True
+        words, visited = [], set()
+        for f, (a, b) in cdict.items():
+            if f in visited:
+                continue
+            if self.partner(v, cdict, f, a) is None:
+                comp = self.walk(v, cdict, f, a)
+            elif self.partner(v, cdict, f, b) is None:
+                comp = self.walk(v, cdict, f, b)
+            else:
+                continue
+            visited.update(comp)
+            words.append("".join(self.char(g) for g in comp))
+        if len(visited) != count:
+            # corners in a cycle: legal only as the whole fan
+            if visited or count != d:
+                return False
+            f = next(iter(cdict))
+            comp = self.walk(v, cdict, f, cdict[f][0])
+            return len(comp) == count and self.embeds("".join(self.char(g) for g in comp))
+        if count == d or d - count < len(words):
+            return False
+        if not all(self.embeds(w) for w in words):
+            return False
+        if count == d - 1:
+            return any(self.embeds(words[0] + self.st.size_char[s])
+                       for s in self.st.sizes_sorted)
+        return True
+
+    def half_corner_ok(self, y, v):
+        faces = self.faces_on(v, y)
+        if len(faces) != 2:
+            return True
+        g = faces[1] if faces[0] == self.fid else faces[0]
+        cdict = self.corners(y)
+        if g not in cdict:
+            return True
+        comp = self.walk(y, cdict, g, v)
+        return self.embeds("".join(self.char(f) for f in reversed(comp)) + self.char(self.fid))
+
+
+def _step_ok(st, edges, fid, y):
+    """The checks of extending fid by y, in the order the step applied them."""
+    step = _View(st, edges, fid, y)
+    path = step.paths[fid]
+    v = path[-2]
+    if not step.edge_ok(v, y):
+        return False
+    if st.pair_prune and not step.shared_ok(y):
+        return False
+    if not step.fan_ok(v):
+        return False
+    if len(path) < st.fsize[fid]:
+        return step.half_corner_ok(y, v)
+    first = path[0]
+    if not step.edge_ok(y, first):
+        return False
+    closed = _View(st, edges, fid, y, close=True)
+    return closed.fan_ok(y) and closed.fan_ok(first)
+
+
+def _edge_map(st):
+    edges = {}
+    for f, p in enumerate(st.fpath):
+        k = len(p)
+        for i in range(k if st.fclosed[f] else k - 1):
+            edges.setdefault(frozenset((p[i], p[(i + 1) % k])), []).append(f)
+    return edges
+
+
+def _walk(st, tally):
+    """The search tree of _run, checking every extension candidate."""
+    slot = st.find_slot()
+    if slot[0] == "complete":
+        return
+    if slot[0] == "extend":
+        fid = slot[1]
+        edges = _edge_map(st)
+        for y, fresh in slot[2]:
+            early = st._append_ok(fid, y)
+            assert early == _step_ok(st, edges, fid, y), (fid, y, st.snapshot_faces())
+            if not early:
+                tally["early"] += 1
+                continue
+            m = st.mark()
+            if st._append_vertex(fid, y, fresh):
+                tally["nodes"] += 1
+                _walk(st, tally)
+            else:
+                tally["late"] += 1
+            st.undo_to(m)
+    else:
+        _, v, x, sizes = slot
+        for s in sizes:
+            m = st.mark()
+            if st._start_face(s, x, v):
+                tally["nodes"] += 1
+                _walk(st, tally)
+            else:
+                tally["late"] += 1
+            st.undo_to(m)
+
+
+ROWS = [
+    ("[3^3]", 4, 2),
+    ("[3^4]", 6, 2),
+    ("[4^3]", 8, 2),
+    ("[3,4,3,4]", 12, 2),
+    ("[3^5,4^1]", 12, -1),
+]
+
+
+@pytest.mark.parametrize("pair_prune", [True, False], ids=["pair-prune", "no-pair-prune"])
+@pytest.mark.parametrize("tstr,n,chi", ROWS)
+def test_early_rejection_matches_full_step(tstr, n, chi, pair_prune):
+    spec = parse_type(tstr)
+    st = _fresh_search(spec.cycle, n, face_counts(spec, n), pair_prune)
+    tally = {"nodes": 0, "early": 0, "late": 0}
+    _walk(st, tally)
+    stats = enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=not pair_prune)).stats
+    assert tally["nodes"] == stats.nodes
+    assert tally["early"] + tally["late"] == stats.prunes.get("constraint", 0)
+    if stats.nodes > 1000:
+        assert tally["early"] > 0 and tally["late"] > 0

@@ -1,5 +1,7 @@
 """Enumeration: sphere oracles, determinism, budgets, checkpoints."""
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from semeq.enumerator import (
     CorruptCheckpointError,
     EnumOptions,
+    _checkpoint_parse,
     enumerate_maps,
     exists_any,
 )
@@ -137,3 +140,37 @@ def test_interrupted_checkpoint_resume(tmp_path, census_35_4):
     resumed = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
     assert resumed.complete
     assert resumed.codes == census_35_4.codes
+
+
+# The search tree is part of the contract: a faster kernel must visit the
+# same nodes, prune the same candidates and address subtrees the same way.
+# The counts are those of censusbench/baseline.json.
+@pytest.mark.parametrize("tstr,nodes,completions,prunes", [
+    ("[3^1,4^1,3^1,4^2]", 7630, 4, {"constraint": 23731}),
+    ("[3^5,4^1]", 9299, 32, {"constraint": 23929}),
+])
+def test_search_tree_pinned(tstr, nodes, completions, prunes):
+    stats = enumerate_maps(tstr, 12, -1).stats
+    assert (stats.nodes, stats.completions, stats.prunes) == (nodes, completions, prunes)
+
+
+def test_checkpoint_subtree_paths_pinned(tmp_path):
+    # a budget of one node stops the session in its first subtree, so the
+    # checkpoint holds the whole split frontier
+    path = str(tmp_path / "ck.bin")
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=1))
+    assert not r.complete
+    with open(path, "rb") as fh:
+        _, pending, _, _ = _checkpoint_parse(fh.read())
+    assert len(pending) == 124
+    assert pending[0] == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1)
+    digest = hashlib.sha256(json.dumps([list(p) for p in pending]).encode()).hexdigest()
+    assert digest == "6a2ac1984ca22da6e5ad694448c366747f8943aeda98b46fa02494c7ee1c5aa4"
+
+
+def test_fresh_first_witness_pinned():
+    # the census witness rows depend on the fresh_first branch order
+    m = exists_any("[3^1,4^1,7^1,4^1]", 42, -1, EnumOptions(fresh_first=True))
+    assert canonical_code(m).digest() == (
+        "8c0caab2e03232a92cdd7d03934953eef99bd62c00c480a38f837aa914d9578b"
+    )
