@@ -42,3 +42,11 @@ for pair in relaxed:
     if (pair.n, str(pair.type)) not in base:
         small = {q: x for q, x in pair.face_counts.items() if x < 3}
         print(f"  extra: n={pair.n:>3} {str(pair.type):<22} (scarce faces: {small})")
+
+print()
+print("=== a sweep over more negative Euler characteristics ===")
+print("(size multisets are filtered first in integers, so each row takes well under a second)")
+for chi in (-1, -2, -3, -4):
+    pairs = admissible_types(chi)
+    assert all(p.euler_characteristic() == chi for p in pairs)
+    print(f"  chi = {chi}: {len(pairs)} admissible (n, type) pairs")

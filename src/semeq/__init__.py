@@ -37,7 +37,6 @@ from .typecalc import (
     TypeSyntaxError,
     VertexTypeSpec,
     admissible_types,
-    admissible_types_bruteforce,
     closed_star_size,
     datta_maity_admissible,
     face_counts,

@@ -37,7 +37,7 @@ from typing import Optional
 
 from .mapcore import CombMap, FaceListMap, build_from_faces, semi_equivelar_type, validate_polyhedral
 from .symmetry import canonical_code
-from .typecalc import VertexTypeSpec, closed_star_size, face_counts
+from .typecalc import VertexTypeSpec, closed_star_size, euler_characteristic_for, face_counts
 
 __all__ = [
     "EnumOptions",
@@ -892,10 +892,9 @@ def _consistency_diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[
     d = spec.degree
     if (n * d) % 2:
         return f"n*d = {n}*{d} is odd, so the edge count n*d/2 is not an integer"
-    xs = face_counts(spec, n)
-    if xs is None:
+    if face_counts(spec, n) is None:
         return f"face counts n*m_q/q are not all integers for n={n}"
-    implied = n - n * d // 2 + sum(xs.values())
+    implied = euler_characteristic_for(spec, n)
     if implied != chi:
         return (
             f"type {spec} with n={n} forces Euler characteristic {implied}, not {chi}"

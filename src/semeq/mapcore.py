@@ -430,7 +430,7 @@ def semi_equivelar_type(m: CombMap) -> Optional[VertexTypeSpec]:
             spec = t
         elif spec != t:
             return None
-    return VertexTypeSpec(spec)
+    return VertexTypeSpec._of_canonical(spec)
 
 
 def face_list_of(m: CombMap) -> FaceListMap:

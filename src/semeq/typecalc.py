@@ -9,9 +9,11 @@ because every count in sight is a linear function of the vertex count:
     f1 = n*d/2,   x_q = n*m_q/q,   f2 = sum x_q,   n - f1 + f2 = chi,
 
 where d is the common vertex degree, m_q the multiplicity of size q in the
-type, and x_q the number of q-gonal faces.  This module solves that system in
-exact rational arithmetic and applies a battery of combinatorial filters that
-rule most (n, type) candidates out before any search is attempted.
+type, and x_q the number of q-gonal faces.  Only the parity rules depend on
+the cyclic order of the sizes, so admissible_types first filters size
+multisets in scaled integers (Euler window, integral n and x_q, closed star)
+and arranges and parity-checks only the survivors, ruling most (n, type)
+candidates out before any search is attempted.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from typing import Iterable, Optional
 
 __all__ = [
@@ -32,10 +35,10 @@ __all__ = [
     "normalize_cycle",
     "datta_maity_admissible",
     "vertex_count_for",
+    "euler_characteristic_for",
     "face_counts",
     "closed_star_size",
     "admissible_types",
-    "admissible_types_bruteforce",
 ]
 
 
@@ -98,9 +101,14 @@ class VertexTypeSpec:
     cycle: tuple[int, ...]
 
     def __post_init__(self):
-        norm = normalize_cycle(self.cycle)
-        if norm != self.cycle:
-            object.__setattr__(self, "cycle", norm)
+        object.__setattr__(self, "cycle", normalize_cycle(self.cycle))
+
+    @classmethod
+    def _of_canonical(cls, cycle: tuple[int, ...]) -> "VertexTypeSpec":
+        """Wrap a tuple normalize_cycle returned, without normalizing it again."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "cycle", cycle)
+        return spec
 
     @property
     def degree(self) -> int:
@@ -226,6 +234,11 @@ def vertex_count_for(t: VertexTypeSpec, chi: int) -> Optional[int]:
     return None
 
 
+def euler_characteristic_for(t: VertexTypeSpec, n: int) -> Fraction:
+    """The Euler characteristic n * (1 - d/2 + sum 1/p_j) forced by n vertices."""
+    return n * _euler_coefficient(t)
+
+
 def face_counts(t: VertexTypeSpec, n: int) -> Optional[dict[int, int]]:
     """Per-size face counts x_q = n*m_q/q, or None if any is non-integral."""
     out: dict[int, int] = {}
@@ -274,7 +287,7 @@ class AdmissiblePair:
     filters_passed: tuple[str, ...] = ()
 
     def euler_characteristic(self) -> int:
-        val = self.n * _euler_coefficient(self.type)
+        val = euler_characteristic_for(self.type, self.n)
         assert val.denominator == 1
         return int(val)
 
@@ -300,83 +313,68 @@ def _passes(t: VertexTypeSpec, chi: int, opts: FilterOptions) -> Optional[Admiss
     return AdmissiblePair(n=n, type=t, face_counts=xs, filters_passed=tuple(applied))
 
 
-def _size_candidates(d: int, chi: int, opts: FilterOptions) -> Iterable[tuple[int, ...]]:
-    """Nondecreasing size multisets whose reciprocal sum lies in the window
-    forced by n >= min_vertices (depth-first with monotone pruning)."""
-    lo = Fraction(d, 2) - 1 - Fraction(-chi, opts.min_vertices)
-    hi = Fraction(d, 2) - 1
+def _multiset_survivors(d: int, chi: int, opts: FilterOptions) -> list[tuple[int, ...]]:
+    """Nondecreasing size multisets of length d with n an integer >=
+    min_vertices, every x_q an integer >= min_face_count and (if enabled) a
+    closed star that fits: every filter that ignores the cyclic order.
+
+    Depth-first; the reciprocal sum is a reduced num/den pair, so
+    n = 2*chi*den / (2*num - (d-2)*den).  Growing p stops once the sum cannot
+    reach the floor (d-2)/2 + chi/min_vertices that n >= min_vertices sets."""
+    mv = opts.min_vertices
+    lo_num, lo_den = (d - 2) * mv + 2 * chi, 2 * mv
     out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], start: int, acc: Fraction) -> None:
+    def accept(ms: tuple[int, ...], n: int) -> bool:
+        for q in set(ms):
+            x, rem = divmod(n * ms.count(q), q)
+            if rem or x < opts.min_face_count:
+                return False
+        if opts.closed_star:
+            star = 1 + sum(ms) - 2 * d
+            if star > n or (star == n and d != n - 1):
+                return False
+        return True
+
+    def rec(prefix: tuple[int, ...], start: int, num: int, den: int) -> None:
         r = d - len(prefix)
-        if r == 0:
-            if lo <= acc < hi:
-                out.append(tuple(prefix))
-            return
         for p in range(start, opts.p_max + 1):
-            if acc + Fraction(r, p) < lo:
+            # num/den + r/p < lo_num/lo_den, all denominators positive
+            if (num * p + r * den) * lo_den < lo_num * den * p:
                 break
-            rec(prefix + [p], p, acc + Fraction(1, p))
+            snum, sden = num * p + den, den * p
+            if r > 1:
+                g = gcd(snum, sden)
+                rec(prefix + (p,), p, snum // g, sden // g)
+                continue
+            div = 2 * snum - (d - 2) * sden
+            if div < 0:
+                n, rem = divmod(2 * chi * sden, div)
+                if not rem and n >= mv and accept(prefix + (p,), n):
+                    out.append(prefix + (p,))
 
-    rec([], 3, Fraction(0))
+    rec((), 3, 0, 1)
     return out
-
-
-def _distinct_arrangements(ms: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return {normalize_cycle(p) for p in set(permutations(ms))}
 
 
 def admissible_types(chi: int, opts: FilterOptions | None = None) -> list[AdmissiblePair]:
     """All admissible (n, type) pairs for a surface of Euler characteristic chi.
 
     Requires chi < 0: the degree bound d <= 6 comes from (d-6)*n <= -6*chi
-    together with n >= 7, which fails for chi >= 0.  Results are sorted by
-    (degree, n, cycle) and deduplicated by canonical cycle.
+    together with n >= 7, which fails for chi >= 0.  Only size multisets that
+    pass the order-free filters are arranged.  Results are sorted by
+    (degree, n, cycle), one per canonical cycle.
     """
     if chi >= 0:
         raise ValueError("admissible_types requires chi < 0 (degree bound d <= 6)")
     opts = opts or FilterOptions()
-    found: dict[tuple[int, ...], AdmissiblePair] = {}
+    if opts.min_vertices < 1:
+        raise ValueError(f"min_vertices must be >= 1, got {opts.min_vertices}")
+    found: list[AdmissiblePair] = []
     for d in range(3, 7):
-        for ms in _size_candidates(d, chi, opts):
-            for cyc in _distinct_arrangements(ms):
-                if cyc in found:
-                    continue
-                pair = _passes(VertexTypeSpec(cyc), chi, opts)
+        for ms in _multiset_survivors(d, chi, opts):
+            for cyc in {normalize_cycle(p) for p in set(permutations(ms))}:
+                pair = _passes(VertexTypeSpec._of_canonical(cyc), chi, opts)
                 if pair is not None:
-                    found[cyc] = pair
-    return sorted(found.values(), key=lambda a: (a.type.degree, a.n, a.type.cycle))
-
-
-def admissible_types_bruteforce(
-    chi: int, opts: FilterOptions | None = None, p_max: int = 100
-) -> list[AdmissiblePair]:
-    """Independent oracle for admissible_types: exhaust every cyclic sequence
-    of degree 3..6 with entries up to p_max through the same predicates,
-    without the window pruning of the structured search."""
-    if chi >= 0:
-        raise ValueError("requires chi < 0")
-    opts = opts or FilterOptions()
-    found: dict[tuple[int, ...], AdmissiblePair] = {}
-    for d in range(3, 7):
-        # plain exhaustive loop over nondecreasing tuples, feasibility cut only
-        stack: list[tuple[list[int], int, Fraction]] = [([], 3, Fraction(0))]
-        while stack:
-            prefix, start, acc = stack.pop()
-            r = d - len(prefix)
-            if r == 0:
-                if acc < Fraction(d, 2) - 1:
-                    for cyc in _distinct_arrangements(tuple(prefix)):
-                        if cyc not in found:
-                            pair = _passes(VertexTypeSpec(cyc), chi, opts)
-                            if pair is not None:
-                                found[cyc] = pair
-                continue
-            for p in range(start, p_max + 1):
-                nacc = acc + Fraction(1, p)
-                # all remaining entries are >= p, so the final sum is at most
-                # acc + r/p; once that dips below the window floor stop growing p
-                if acc + Fraction(r, p) < Fraction(d, 2) - 1 - Fraction(-chi, opts.min_vertices):
-                    break
-                stack.append((prefix + [p], p, nacc))
-    return sorted(found.values(), key=lambda a: (a.type.degree, a.n, a.type.cycle))
+                    found.append(pair)
+    return sorted(found, key=lambda a: (a.type.degree, a.n, a.type.cycle))

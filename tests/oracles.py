@@ -1,0 +1,41 @@
+"""Reference implementations the tests hold the library against."""
+
+from fractions import Fraction
+from itertools import permutations
+
+from semeq.typecalc import AdmissiblePair, FilterOptions, VertexTypeSpec, _passes, normalize_cycle
+
+
+def admissible_types_bruteforce(
+    chi: int, opts: FilterOptions | None = None, p_max: int = 100
+) -> list[AdmissiblePair]:
+    """Independent oracle for admissible_types: exhaust every cyclic sequence
+    of degree 3..6 with entries up to p_max through the same per-type
+    predicates, in Fraction arithmetic, with no per-multiset prefilter and
+    no window pruning beyond the feasibility cut."""
+    if chi >= 0:
+        raise ValueError("requires chi < 0")
+    opts = opts or FilterOptions()
+    found: dict[tuple[int, ...], AdmissiblePair] = {}
+    for d in range(3, 7):
+        # plain exhaustive loop over nondecreasing tuples, feasibility cut only
+        stack: list[tuple[list[int], int, Fraction]] = [([], 3, Fraction(0))]
+        while stack:
+            prefix, start, acc = stack.pop()
+            r = d - len(prefix)
+            if r == 0:
+                if acc < Fraction(d, 2) - 1:
+                    for cyc in {normalize_cycle(p) for p in set(permutations(prefix))}:
+                        if cyc not in found:
+                            pair = _passes(VertexTypeSpec(cyc), chi, opts)
+                            if pair is not None:
+                                found[cyc] = pair
+                continue
+            for p in range(start, p_max + 1):
+                nacc = acc + Fraction(1, p)
+                # all remaining entries are >= p, so the final sum is at most
+                # acc + r/p; once that dips below the window floor stop growing p
+                if acc + Fraction(r, p) < Fraction(d, 2) - 1 - Fraction(-chi, opts.min_vertices):
+                    break
+                stack.append((prefix + [p], p, nacc))
+    return sorted(found.values(), key=lambda a: (a.type.degree, a.n, a.type.cycle))

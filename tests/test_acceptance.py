@@ -34,7 +34,9 @@ from semeq.symmetry import (
     vertex_orbits,
 )
 from semeq.transforms import rectify, truncate
-from semeq.typecalc import FilterOptions, admissible_types, admissible_types_bruteforce, parse_type
+from semeq.typecalc import FilterOptions, admissible_types, parse_type
+
+from oracles import admissible_types_bruteforce
 
 LONG_ENABLED = os.environ.get("SEMEQ_LONG") == "1"
 

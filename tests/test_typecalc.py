@@ -1,5 +1,6 @@
 """Vertex-type arithmetic tests."""
 
+import hashlib
 import pytest
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from semeq.typecalc import (
     TypeSyntaxError,
     VertexTypeSpec,
     admissible_types,
-    admissible_types_bruteforce,
     closed_star_size,
     datta_maity_admissible,
     face_counts,
@@ -20,6 +20,8 @@ from semeq.typecalc import (
     parse_type,
     vertex_count_for,
 )
+
+from oracles import admissible_types_bruteforce
 
 
 def test_parse_bracket_forms():
@@ -141,6 +143,8 @@ def test_admissible_chi_minus_one_defaults():
 def test_admissible_rejects_chi_zero():
     with pytest.raises(ValueError):
         admissible_types(0)
+    with pytest.raises(ValueError):
+        admissible_types(-1, FilterOptions(min_vertices=0))
 
 
 def test_admissible_exact_euler_identity():
@@ -163,11 +167,51 @@ def test_admissible_relaxed_face_count():
     assert (36, (4, 6, 18)) in extras
 
 
+OPTION_SETS = {
+    "default": FilterOptions(),
+    "min-face-count-1": FilterOptions(min_face_count=1),
+    "no-parity-no-star": FilterOptions(prop1=False, closed_star=False),
+}
+
+
+def _rows(pairs):
+    return [(p.n, p.type.cycle, sorted(p.face_counts.items()), p.filters_passed) for p in pairs]
+
+
 def test_bruteforce_oracle_agreement():
-    for opts in (FilterOptions(), FilterOptions(min_face_count=1)):
-        fast = {(p.n, p.type.cycle) for p in admissible_types(-1, opts)}
-        slow = {(p.n, p.type.cycle) for p in admissible_types_bruteforce(-1, opts)}
-        assert fast == slow
+    # each toggle the per-multiset prefilter reads, against the oracle that
+    # puts every arrangement of every window multiset through the full check
+    for chi in (-1, -2):
+        for name, opts in OPTION_SETS.items():
+            fast = _rows(admissible_types(chi, opts))
+            assert fast == _rows(admissible_types_bruteforce(chi, opts)), (chi, name)
+
+
+# SHA-256 of repr(_rows(admissible_types(chi, opts))), recorded before the
+# classification was reordered to filter size multisets first
+PINNED_ROWS = {
+    (-1, "default"): "c247cdc5bb488d89c239afd0ece32ed66b89f4521dbd7adfb5d8fae9cf724bd9",
+    (-1, "min-face-count-1"): "6b77ecdb9201c7ac963e16f9f308a29727474a1adabfd98679053637bfe35bbc",
+    (-1, "no-parity-no-star"): "6263206051e7abeb03afa8d1d82e17cea5642d67de0b198c0bf6c76f3b988cc4",
+    (-2, "default"): "05a1b4e8770e30d98d3604e72fe54940e79a657c9ad8059d013d3d930b2b7a2f",
+    (-2, "min-face-count-1"): "1ae4db17a54345d8a65854801ae2614cf86020b1d9a11a001b96f69596e2494a",
+    (-2, "no-parity-no-star"): "ff921f169d7abff1443b334c03e63d44f42d546b4c2393ccee726a41bded5013",
+    (-3, "default"): "3928dd2acc62eb605fe754f071f1716cdbc3e7675ef3e3449ccaf189891cd11e",
+    (-3, "min-face-count-1"): "e6d84f68db2fd908dbf0cf468c9a543f4ac84eb173d306a6509e8512c9a8ed99",
+    (-3, "no-parity-no-star"): "c44b318b532ce41c78facc6327d220a6f1b9f1dea7d8d9b7e9ad407837c52b1c",
+}
+
+
+@pytest.mark.parametrize("chi,name", PINNED_ROWS.keys())
+def test_admissible_rows_pinned(chi, name):
+    rows = _rows(admissible_types(chi, OPTION_SETS[name]))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_ROWS[chi, name]
+
+
+def test_admissible_chi_minus_four():
+    pairs = admissible_types(-4)
+    assert len(pairs) == 91
+    assert all(p.euler_characteristic() == -4 for p in pairs)
 
 
 def test_admissible_chi_minus_two():
