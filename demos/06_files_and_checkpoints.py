@@ -44,3 +44,5 @@ with tempfile.TemporaryDirectory() as tmp:
     reference = enumerate_maps("[3^5,4^1]", 12, -1)
     print(f"  resumed session: complete={resumed.complete}, {len(resumed.maps)} maps")
     print(f"  identical to an uninterrupted run: {resumed.codes == reference.codes}")
+    print(f"  search nodes: {resumed.stats.nodes} resumed (the checkpoint counts "
+          f"finished subtrees only), {reference.stats.nodes} uninterrupted")

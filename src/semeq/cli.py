@@ -43,6 +43,13 @@ def _default_threads() -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _filters(args) -> FilterOptions:
     return FilterOptions(
         min_face_count=1 if args.no_x3_filter else 3,
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, enum=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if enum:
-            p.add_argument("--threads", type=int, default=_default_threads(),
+            p.add_argument("--threads", type=_positive_int, default=_default_threads(),
                            help="worker processes (or env SEMEQ_THREADS)")
             p.add_argument("--checkpoint", default=None, help="checkpoint file path")
             p.add_argument("--budget", type=int, default=None, help="node budget")
@@ -266,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validate a map file")
     p.add_argument("mapfile")
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("aut", help="automorphism group of a map file")
@@ -277,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="isomorphism test between two map files")
     p.add_argument("mapfile_a")
     p.add_argument("mapfile_b")
-    common(p)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("gi", help="same-link-intersection graph")
@@ -288,12 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truncate", help="corner-cut a map")
     p.add_argument("mapfile")
-    common(p)
     p.set_defaults(func=lambda a: _cmd_transform(a, truncate_map))
 
     p = sub.add_parser("rectify", help="edge-midpoint a map")
     p.add_argument("mapfile")
-    common(p)
     p.set_defaults(func=lambda a: _cmd_transform(a, rectify_map))
 
     p = sub.add_parser("census", help="full census for one Euler characteristic")

@@ -28,11 +28,13 @@ polyhedrality validator before being emitted.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import random
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .mapcore import CombMap, FaceListMap, build_from_faces, semi_equivelar_type, validate_polyhedral
@@ -50,6 +52,7 @@ __all__ = [
 
 _CKPT_MAGIC = b"SEMQCKPT"
 _CKPT_VERSION = 1
+_SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
 
 
 class InconsistentParametersError(ValueError):
@@ -65,26 +68,39 @@ class EnumOptions:
     """Search controls.
 
     threads > 1 splits the tree into independent subtrees handled by worker
-    processes; the result set never depends on the split.  node_budget bounds
-    expanded nodes (complete=False when hit); in subtree mode (threads > 1 or
-    a checkpoint path) it is divided evenly into per-subtree quotas so that
-    budget truncation stays scheduling-independent.  branch_shuffle_seed randomizes
-    candidate order inside each node (testing aid; incompatible with
-    checkpoints).  disable_pair_prune turns off the incremental polyhedral-
-    intersection cuts, leaving the final validator to reject those
-    completions (testing aid).  fresh_first tries the new-label branch before
-    label reuse: irrelevant for exhaustive counts, but existence searches on
-    large types typically find a witness orders of magnitude sooner with it.
+    processes; the result set never depends on the split.  A checkpoint
+    path splits it the same way, in-process when threads == 1, and saves the
+    unfinished subtrees after each round of threads * checkpoint_every of
+    them (both counts at least 1).  node_budget bounds expanded nodes
+    (complete=False when hit); a split run divides it evenly into
+    per-subtree quotas so that budget truncation stays
+    scheduling-independent.  branch_shuffle_seed randomizes candidate order
+    inside each node (testing aid).  fresh_first tries the new-label branch
+    before label reuse: irrelevant for exhaustive counts, but existence
+    searches on large types typically find a witness orders of magnitude
+    sooner with it.  Both branch-order options need an unsplit run, since
+    subtree paths and checkpoints assume the default order.
+    disable_pair_prune turns off the incremental polyhedral-intersection
+    cuts, leaving the final validator to reject those completions (testing
+    aid).
     """
 
     threads: int = 1
     node_budget: Optional[int] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 16
-    split_target: int = 64
     branch_shuffle_seed: Optional[int] = None
     disable_pair_prune: bool = False
     fresh_first: bool = False
+
+    def __post_init__(self):
+        if self.threads < 1 or self.checkpoint_every < 1:
+            raise ValueError("threads and checkpoint_every must be at least 1")
+        if (self.threads > 1 or self.checkpoint_path is not None) and (
+            self.branch_shuffle_seed is not None or self.fresh_first
+        ):
+            raise ValueError("branch_shuffle_seed and fresh_first are incompatible "
+                             "with subtree replay (threads > 1 or a checkpoint)")
 
 
 @dataclass
@@ -127,10 +143,6 @@ class EnumerationResult:
     stats: EnumerationStats
     complete: bool
     diagnostic: Optional[str] = None
-
-
-class _StopSearch(Exception):
-    """Raised to unwind the DFS once exists_any found a map."""
 
 
 class _Search:
@@ -642,8 +654,8 @@ class _Search:
 # -- DFS driver -------------------------------------------------------------
 
 
-def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
-                 first_only: bool) -> None:
+def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
+    """Collect the completed state if it is a polyhedral map of the type."""
     stats.completions += 1
     if (
         st.labels_used != st.n
@@ -651,20 +663,18 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
         or not all(st.fclosed)
     ):
         stats.rejected_wrong_size += 1
-        return
+        return False
     faces = st.snapshot_faces()
     m = build_from_faces(FaceListMap(st.n, faces))
     if not validate_polyhedral(m).ok:
         stats.rejected_nonpolyhedral += 1
-        return
+        return False
     t = semi_equivelar_type(m)
     if t is None or t.cycle != st.cycle:
         stats.rejected_wrong_type += 1
-        return
-    code = canonical_code(m).data
-    collector[code] = faces
-    if first_only:
-        raise _StopSearch
+        return False
+    collector[canonical_code(m).data] = faces
+    return True
 
 
 def _run(st: _Search, stats: EnumerationStats, collector: dict,
@@ -676,8 +686,9 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     ``prefix`` replays recorded candidate indices for the first levels (the
     subtree addressing used by parallel workers and checkpoints).  When
     ``split_depth`` is set, subtrees rooted at that depth are appended to
-    ``frontier`` instead of being explored.  Returns False when the node
-    quota was exhausted before the subtree was finished.
+    ``frontier`` instead of being explored.  Returns False when the subtree
+    was cut before it was finished: the node quota ran out, or
+    ``first_only`` collected a map.
 
     An extension candidate is tested before anything is applied, so a
     rejected one costs no journal entries; a closing step that passes still
@@ -687,15 +698,16 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     """
     nodes = 0
     pruned = 0
-    exhausted = False
+    cut = False
     track = split_depth is not None
 
     def rec(depth: int, path: tuple[int, ...]) -> None:
-        nonlocal nodes, pruned, exhausted
+        nonlocal nodes, pruned, cut
         slot = st.find_slot()
         kind = slot[0]
         if kind == "complete":
-            _on_complete(st, stats, collector, first_only)
+            if _on_complete(st, stats, collector) and first_only:
+                cut = True
             return
         if track and depth >= split_depth:
             frontier.append(path)
@@ -720,7 +732,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             chosen = enumerate(cands)
             count_nodes = True
         for idx, cand in chosen:
-            if exhausted:
+            if cut:
                 break
             if extend:
                 y = cand[0]
@@ -736,9 +748,9 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                 if count_nodes:
                     nodes += 1
                     if node_quota is not None and nodes > node_quota:
-                        exhausted = True
+                        cut = True
                         stats.bump("budget")
-                if not exhausted:
+                if not cut:
                     rec(depth + 1, path + (idx,) if track else path)
             else:
                 pruned += 1
@@ -752,44 +764,47 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
         stats.nodes += nodes
         if pruned:
             stats.prunes["constraint"] = stats.prunes.get("constraint", 0) + pruned
-    return not exhausted
+    return not cut
 
 
 def _fresh_search(cycle: tuple[int, ...], n: int, budgets: dict[int, int],
                   pair_prune: bool, fresh_first: bool = False) -> Optional[_Search]:
     st = _Search(cycle, n, budgets, pair_prune, fresh_first)
-    if not st.seed():
-        return None
-    return st
+    return st if st.seed() else None
 
 
-def _expand_frontier(cycle, n, budgets, pair_prune, target, collector, stats):
-    """Iteratively deepen until at least ``target`` subtree roots exist (or
-    the whole tree fits above the split depth).  Completions found above the
-    split land directly in the collector."""
+def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> list:
+    """Iteratively deepen until at least _SPLIT_TARGET subtree roots exist
+    (or the whole tree fits above the split depth).  Completions found above
+    the split land directly in the collector."""
     depth = 4
     while True:
         frontier: list[tuple[int, ...]] = []
         tmp = EnumerationStats()
-        st = _fresh_search(cycle, n, budgets, pair_prune)
         _run(st, tmp, collector, split_depth=depth, frontier=frontier)
-        if len(frontier) >= target or not frontier:
+        if len(frontier) >= _SPLIT_TARGET or not frontier:
             stats.merge(tmp)
             return frontier
         depth += 3
 
 
-def _worker_task(args):
-    cycle, n, budgets, pair_prune, paths, quota = args
-    stats = EnumerationStats()
-    collector: dict = {}
-    exhausted = []
-    for path in paths:
-        st = _fresh_search(cycle, n, budgets, pair_prune)
-        ok = _run(st, stats, collector, prefix=tuple(path), node_quota=quota)
-        if not ok:
-            exhausted.append(path)
-    return collector, stats, exhausted
+def _run_paths(task) -> tuple:
+    """The executor of _drive: run subtree paths in order from one seeded
+    search until a path is cut.  Returns the maps and stats of the
+    finished paths, those of the cut path (empty when no path was cut) and
+    the paths left unfinished, the cut one first."""
+    params, quota, seed, first_only, paths = task
+    st = _fresh_search(*params)
+    rng = None if seed is None else random.Random(seed)
+    found, stats = {}, EnumerationStats()
+    for i, path in enumerate(paths):
+        part_found, part = {}, EnumerationStats()
+        if not _run(st, part, part_found, prefix=path, node_quota=quota, rng=rng,
+                    first_only=first_only):
+            return found, stats, (part_found, part), paths[i:]
+        found.update(part_found)
+        stats.merge(part)
+    return found, stats, ({}, EnumerationStats()), []
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -888,7 +903,8 @@ def _normalize_type(t) -> VertexTypeSpec:
     return VertexTypeSpec(tuple(t))
 
 
-def _consistency_diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
+def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
+    """Why no map of this type with n vertices can exist on chi, or None."""
     d = spec.degree
     if (n * d) % 2:
         return f"n*d = {n}*{d} is odd, so the edge count n*d/2 is not an integer"
@@ -899,7 +915,79 @@ def _consistency_diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[
         return (
             f"type {spec} with n={n} forces Euler characteristic {implied}, not {chi}"
         )
+    if closed_star_size(spec) > n:
+        return f"closed star needs {closed_star_size(spec)} distinct vertices but n={n}"
     return None
+
+
+def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
+           collector: dict, stats: EnumerationStats,
+           first_only: bool = False) -> Optional[bool]:
+    """The one search loop: a queue of subtree paths run by opts.threads
+    executors, in-process when there is one.
+
+    The queue starts as [()] (the whole tree) for an unsplit run, as the
+    split frontier for a split run, or as the pending paths of the
+    checkpoint being resumed.  Each round takes threads * checkpoint_every
+    paths, deals them round-robin into one chunk per executor and then saves
+    the checkpoint.  A round in which a path is cut (node quota spent, or
+    first_only collected a map) is the last; its unfinished paths return to
+    the front of the queue.  The checkpoint covers finished subtrees only:
+    the maps and counts of cut subtrees reach collector and stats after the
+    last save, so a resumed run counts each node once.  Returns whether the
+    whole tree was searched, or None when the root star cannot be assembled.
+    """
+    split = opts.threads > 1 or opts.checkpoint_path is not None
+    pair_prune = not opts.disable_pair_prune
+    params = (spec.cycle, n, face_counts(spec, n), pair_prune, opts.fresh_first)
+    header = {"cycle": list(spec.cycle), "n": n, "chi": chi, "pair_prune": pair_prune}
+    if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
+        with open(opts.checkpoint_path, "rb") as fh:
+            saved_header, queue, saved_maps, saved_stats = _checkpoint_parse(fh.read())
+        if saved_header != header:
+            raise CorruptCheckpointError(
+                "checkpoint was written for different parameters"
+            )
+        collector.update(saved_maps)
+        stats.merge(saved_stats)
+    else:
+        st = _fresh_search(*params)
+        if st is None:
+            return None
+        queue = _expand_frontier(st, collector, stats) if split else [()]
+    quota = opts.node_budget
+    if quota is not None and split:
+        quota = max(1, quota // max(1, len(queue)))
+
+    threads = opts.threads
+    batch = threads * opts.checkpoint_every
+    cut_maps, cut_stats = {}, EnumerationStats()
+    pool = contextlib.nullcontext()
+    if threads > 1:
+        import multiprocessing
+
+        pool = multiprocessing.get_context("fork").Pool(threads)
+    with pool:
+        run = pool.map if threads > 1 else map
+        while True:
+            now, queue = queue[:batch], queue[batch:]
+            tasks = [(params, quota, opts.branch_shuffle_seed, first_only, now[i::threads])
+                     for i in range(min(threads, len(now)))]
+            unfinished = []
+            for found, done, cut, left in run(_run_paths, tasks):
+                collector.update(found)
+                stats.merge(done)
+                cut_maps.update(cut[0])
+                cut_stats.merge(cut[1])
+                unfinished += left
+            queue = unfinished + queue
+            if opts.checkpoint_path:
+                _save_checkpoint(opts.checkpoint_path, header, queue, collector, stats)
+            if unfinished or not queue:
+                break
+    collector.update(cut_maps)
+    stats.merge(cut_stats)
+    return not queue
 
 
 def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> EnumerationResult:
@@ -916,140 +1004,32 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
         raise InconsistentParametersError(f"vertex count must be positive, got {n}")
     t_start = time.perf_counter()
     stats = EnumerationStats()
-
-    def finish(collector: dict, complete: bool, diagnostic=None) -> EnumerationResult:
-        stats.wall_seconds = time.perf_counter() - t_start
-        codes = tuple(sorted(collector))
-        maps = tuple(build_from_faces(FaceListMap(n, collector[c])) for c in codes)
-        return EnumerationResult(maps=maps, codes=codes, stats=stats,
-                                 complete=complete, diagnostic=diagnostic)
-
-    diag = _consistency_diagnostic(spec, n, chi)
-    if diag is not None:
-        return finish({}, True, diag)
-    if closed_star_size(spec) > n:
-        return finish({}, True,
-                      f"closed star needs {closed_star_size(spec)} distinct "
-                      f"vertices but n={n}")
-    budgets = face_counts(spec, n)
-    if opts.branch_shuffle_seed is not None and (
-        opts.threads > 1 or opts.checkpoint_path
-    ):
-        raise ValueError("branch shuffling is incompatible with subtree replay")
-
     collector: dict = {}
-    subtree_mode = opts.threads > 1 or opts.checkpoint_path is not None
-    if not subtree_mode:
-        st = _fresh_search(spec.cycle, n, budgets, not opts.disable_pair_prune)
-        if st is None:
-            return finish({}, True, "root star cannot be assembled")
-        rng = None
-        if opts.branch_shuffle_seed is not None:
-            import random
-
-            rng = random.Random(opts.branch_shuffle_seed)
-        ok = _run(st, stats, collector, node_quota=opts.node_budget, rng=rng)
-        return finish(collector, ok)
-
-    # subtree mode: shared by parallel runs and checkpointed runs
-    header = {
-        "cycle": list(spec.cycle),
-        "n": n,
-        "chi": chi,
-        "pair_prune": not opts.disable_pair_prune,
-    }
-    pending: list[tuple[int, ...]] = []
-    resumed = False
-    if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
-        with open(opts.checkpoint_path, "rb") as fh:
-            saved_header, pending, collector, saved_stats = _checkpoint_parse(fh.read())
-        if saved_header != header:
-            raise CorruptCheckpointError(
-                "checkpoint was written for different parameters"
-            )
-        stats.merge(saved_stats)
-        resumed = True
-    if not resumed:
-        st = _fresh_search(spec.cycle, n, budgets, not opts.disable_pair_prune)
-        if st is None:
-            return finish({}, True, "root star cannot be assembled")
-        pending = _expand_frontier(spec.cycle, n, budgets,
-                                   not opts.disable_pair_prune,
-                                   opts.split_target, collector, stats)
-    quota = None
-    if opts.node_budget is not None:
-        quota = max(1, opts.node_budget // max(1, len(pending)))
-
-    # a quota-exhausted subtree stays in the queue so that a resumed run can
-    # finish it; the session then stops and reports complete=False
-    exhausted_any = False
-    if opts.threads > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        batch = max(1, opts.threads * opts.checkpoint_every)
-        with ctx.Pool(opts.threads) as pool:
-            while pending:
-                now, rest = pending[:batch], pending[batch:]
-                chunks = [now[i::opts.threads] for i in range(opts.threads)]
-                chunks = [c for c in chunks if c]
-                args = [(spec.cycle, n, budgets, not opts.disable_pair_prune,
-                         chunk, quota) for chunk in chunks]
-                requeue = []
-                for coll, wstats, exhausted in pool.map(_worker_task, args):
-                    collector.update(coll)
-                    stats.merge(wstats)
-                    requeue.extend(exhausted)
-                pending = requeue + rest
-                if opts.checkpoint_path:
-                    _save_checkpoint(opts.checkpoint_path, header, pending,
-                                     collector, stats)
-                if requeue:
-                    exhausted_any = True
-                    break
-    else:
-        since_save = 0
-        while pending:
-            path = pending[0]
-            st = _fresh_search(spec.cycle, n, budgets, not opts.disable_pair_prune)
-            ok = _run(st, stats, collector, prefix=path, node_quota=quota)
-            if not ok:
-                exhausted_any = True
-                break
-            pending.pop(0)
-            since_save += 1
-            if opts.checkpoint_path and since_save >= opts.checkpoint_every:
-                _save_checkpoint(opts.checkpoint_path, header, pending,
-                                 collector, stats)
-                since_save = 0
-        if opts.checkpoint_path:
-            _save_checkpoint(opts.checkpoint_path, header, pending, collector, stats)
-    return finish(collector, not exhausted_any)
+    complete = True
+    diagnostic = _diagnostic(spec, n, chi)
+    if diagnostic is None:
+        complete = _drive(spec, n, chi, opts, collector, stats)
+        if complete is None:
+            complete, diagnostic = True, "root star cannot be assembled"
+    stats.wall_seconds = time.perf_counter() - t_start
+    codes = tuple(sorted(collector))
+    maps = tuple(build_from_faces(FaceListMap(n, collector[c])) for c in codes)
+    return EnumerationResult(maps=maps, codes=codes, stats=stats,
+                             complete=complete, diagnostic=diagnostic)
 
 
 def exists_any(t, n: int, chi: int, opts: EnumOptions | None = None) -> Optional[CombMap]:
     """First completed map in the deterministic search order, or None when
-    the whole tree is exhausted.  Runs serially; honors the node budget by
+    the whole tree is exhausted.  Always one unsplit in-process search:
+    threads and checkpoint_path are not used.  Honors the node budget by
     raising nothing and returning None (check the result of enumerate_maps
     for budget diagnostics when that distinction matters)."""
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
-    if _consistency_diagnostic(spec, n, chi) is not None:
-        return None
-    if closed_star_size(spec) > n:
-        return None
-    budgets = face_counts(spec, n)
-    st = _fresh_search(spec.cycle, n, budgets, not opts.disable_pair_prune,
-                       opts.fresh_first)
-    if st is None:
-        return None
-    stats = EnumerationStats()
     collector: dict = {}
-    try:
-        _run(st, stats, collector, node_quota=opts.node_budget, first_only=True)
-    except _StopSearch:
-        pass
+    if _diagnostic(spec, n, chi) is None:
+        _drive(spec, n, chi, replace(opts, threads=1, checkpoint_path=None),
+               collector, EnumerationStats(), first_only=True)
     if not collector:
         return None
-    code = min(collector)
-    return build_from_faces(FaceListMap(n, collector[code]))
+    return build_from_faces(FaceListMap(n, collector[min(collector)]))

@@ -174,3 +174,56 @@ def test_fresh_first_witness_pinned():
     assert canonical_code(m).digest() == (
         "8c0caab2e03232a92cdd7d03934953eef99bd62c00c480a38f837aa914d9578b"
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_resumed_run_counts_each_node_once(tmp_path, threads):
+    # the checkpoint holds the counts of finished subtrees only, so the
+    # subtree a budget cut stops in is counted once, when it is resumed
+    path = str(tmp_path / "ck.bin")
+    cut = enumerate_maps(
+        "[3^5,4^1]", 12, -1,
+        EnumOptions(checkpoint_path=path, node_budget=2000, checkpoint_every=1,
+                    threads=threads),
+    )
+    assert not cut.complete and cut.stats.prunes["budget"] >= 1
+    resumed = enumerate_maps("[3^5,4^1]", 12, -1,
+                             EnumOptions(checkpoint_path=path, threads=threads))
+    assert resumed.complete
+    assert resumed.stats.to_dict() == enumerate_maps("[3^5,4^1]", 12, -1).stats.to_dict()
+    assert resumed.stats.nodes == 9299
+    assert resumed.stats.prunes == {"constraint": 23929}
+
+
+def test_empty_frontier_still_checkpointed(tmp_path):
+    # the tetrahedron's whole tree lies above the split depth: the run has
+    # no subtree to hand out, yet its checkpoint records the finished search
+    path = str(tmp_path / "ck.bin")
+    r = enumerate_maps("[3^3]", 4, 2, EnumOptions(threads=2, checkpoint_path=path))
+    with open(path, "rb") as fh:
+        _, pending, maps, _ = _checkpoint_parse(fh.read())
+    assert pending == [] and list(maps) == list(r.codes)
+
+
+@pytest.mark.parametrize("field", ["threads", "checkpoint_every"])
+def test_nonpositive_counts_rejected(field):
+    with pytest.raises(ValueError):
+        enumerate_maps("[3^3]", 4, 2, EnumOptions(**{field: 0}))
+
+
+def test_fresh_first_honoured_in_unsplit_runs(census_35_4):
+    # a complete run visits the same tree in another order...
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(fresh_first=True))
+    assert r.complete and r.codes == census_35_4.codes
+    assert r.stats.to_dict() == census_35_4.stats.to_dict()
+    # ...while a budget cut shows that the order changed
+    plain = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(node_budget=500))
+    fresh = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(node_budget=500, fresh_first=True))
+    assert plain.stats.prunes != fresh.stats.prunes
+
+
+@pytest.mark.parametrize("order", [{"fresh_first": True}, {"branch_shuffle_seed": 3}])
+@pytest.mark.parametrize("split", [{"threads": 2}, {"checkpoint_path": "unused.ckpt"}])
+def test_branch_order_rejected_in_split_runs(order, split):
+    with pytest.raises(ValueError, match="subtree replay"):
+        EnumOptions(**order, **split)

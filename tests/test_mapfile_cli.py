@@ -174,6 +174,22 @@ def test_cli_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--type", "[3^3]", "--n", "4", "--chi", "2"],
+    ["census", "--chi", "-1"],
+])
+def test_cli_threads_must_be_positive(command):
+    proc = run_cli(*command, "--threads", "0")
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+
+
+def test_cli_verify_has_no_json_flag(cube_file):
+    # verify, iso, truncate and rectify print text only
+    proc = run_cli("verify", cube_file, "--json")
+    assert proc.returncode == 2
+
+
 def test_cli_json_byte_stable():
     a = run_cli("enumerate", "--type", "[3^3]", "--n", "4", "--chi", "2", "--json").stdout
     b = run_cli("enumerate", "--type", "[3^3]", "--n", "4", "--chi", "2", "--json").stdout
