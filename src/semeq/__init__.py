@@ -50,6 +50,7 @@ from .symmetry import (
     PermGroup,
     automorphism_group,
     canonical_code,
+    canonical_order,
     gi_graph,
     is_vertex_transitive,
     isomorphic,

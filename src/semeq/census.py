@@ -14,12 +14,11 @@ reports mean equal censuses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from .enumerator import EnumOptions, enumerate_maps
-from .mapcore import CombMap, euler_characteristic, surface_signature
-from .symmetry import automorphism_group, canonical_code, gi_graph
+from .mapcore import CombMap, surface_signature
+from .symmetry import GiGraph, _link_intersections, automorphism_group, canonical_code
 from .typecalc import AdmissiblePair, FilterOptions, admissible_types
 
 __all__ = ["CENSUS_SCHEMA_VERSION", "LONG_RUN_VERTEX_COUNT", "analyze_map",
@@ -31,22 +30,22 @@ CENSUS_SCHEMA_VERSION = 1
 LONG_RUN_VERTEX_COUNT = 40
 
 
-def analyze_map(m: CombMap, gi_range: Optional[range] = None) -> dict:
+def analyze_map(m: CombMap) -> dict:
     """Label-free summary of one map: group data, orbits, link-graph data."""
     group = automorphism_group(m)
     orbits = group.vertex_orbits()
     chi, orientable, genus = surface_signature(m)
+    # every nonempty G_i from one pass: vertex pairs bucketed by |L(a) & L(b)|
+    gi_edges: dict[int, list[tuple[int, int]]] = {}
+    for a, b, size in _link_intersections(m):
+        gi_edges.setdefault(size, []).append((a, b))
     gi_summary = {}
-    if gi_range is None:
-        gi_range = range(0, m.f0 + 1)
-    for i in gi_range:
-        g = gi_graph(m, i)
-        if g.edges:
-            degs = g.degree_multiset()
-            gi_summary[str(i)] = {
-                "edges": len(g.edges),
-                "degree_multiset_constant": len(set(degs)) == 1,
-            }
+    for i in sorted(gi_edges):
+        degs = GiGraph(i, m.f0, tuple(gi_edges[i])).degree_multiset()
+        gi_summary[str(i)] = {
+            "edges": len(gi_edges[i]),
+            "degree_multiset_constant": len(set(degs)) == 1,
+        }
     return {
         "vertices": m.f0,
         "edges": m.f1,
@@ -87,7 +86,13 @@ def census(
         if pair.n >= LONG_RUN_VERTEX_COUNT and not include_long:
             rows.append(CensusRow(pair, "not-run(long)", (), (), False))
             continue
-        result = enumerate_maps(pair.type, pair.n, chi, enum_opts)
+        opts = enum_opts
+        # each row keeps its own checkpoint, e.g. PATH.3e5-4e1.n12
+        if enum_opts.checkpoint_path is not None:
+            slug = str(pair.type).strip("[]").replace("^", "e").replace(",", "-")
+            path = f"{enum_opts.checkpoint_path}.{slug}.n{pair.n}"
+            opts = replace(enum_opts, checkpoint_path=path)
+        result = enumerate_maps(pair.type, pair.n, chi, opts)
         if not result.complete:
             status = "not-run(budget)"
         elif result.maps:

@@ -31,7 +31,7 @@ from .mapcore import (
     validate_polyhedral,
 )
 from .mapfile import MapFileError, dumps as dump_map, read_map_file
-from .symmetry import automorphism_group, canonical_code, gi_graph, isomorphic
+from .symmetry import automorphism_group, gi_graph, isomorphic
 from .typecalc import FilterOptions, admissible_types, parse_type
 from .transforms import NotPolyhedralError, rectify as rectify_map, truncate as truncate_map
 
@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         if enum:
             p.add_argument("--threads", type=_positive_int, default=_default_threads(),
                            help="worker processes (or env SEMEQ_THREADS)")
-            p.add_argument("--checkpoint", default=None, help="checkpoint file path")
+            p.add_argument("--checkpoint", default=None,
+                           help="checkpoint file path (census: PATH.<type>.n<n> per row)")
             p.add_argument("--budget", type=int, default=None, help="node budget")
             p.add_argument("--long", action="store_true",
                            help="allow long runs (n >= 40)")

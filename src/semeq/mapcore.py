@@ -15,8 +15,8 @@ arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .typecalc import VertexTypeSpec, normalize_cycle
 
@@ -130,6 +130,7 @@ class CombMap:
         "faces",
         "edges",
         "_fans",
+        "_canon",
     )
 
     def __init__(self, s0, s1, s2, vertex_of, edge_of, face_of, f0, f1, f2, faces, edges):
@@ -146,6 +147,7 @@ class CombMap:
         self.faces = faces
         self.edges = edges
         self._fans = None
+        self._canon = None  # symmetry's canonical scan, filled on first use
 
     @property
     def vertex_count(self) -> int:

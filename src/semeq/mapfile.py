@@ -5,9 +5,11 @@ Text format: optional ``#`` comment lines, one ``vertices N`` line, then one
 A file whose first non-blank byte is ``{`` is parsed instead as a JSON
 document ``{"vertices": N, "faces": [[...], ...]}``.
 
-The writer emits faces in canonical-traversal order (the order in which the
-canonical flag traversal first reaches each face), so isomorphic relabelings
-of a map serialize with the same face ordering and files diff cleanly.
+The writer emits faces in canonical-traversal order: the order in which the
+map's cached canonical traversal (``symmetry.canonical_order``, the flag
+order from the first code-minimizing start) first reaches each face, so
+isomorphic relabelings of a map serialize with the same face ordering and
+files diff cleanly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import Union
 
 from .mapcore import CombMap, FaceListMap, MapBuildError, build_from_faces
-from .symmetry import _min_code_and_starts, _traverse
+from .symmetry import canonical_order
 
 __all__ = ["MapFileError", "loads", "dumps", "read_map_file", "write_map_file"]
 
@@ -71,15 +73,8 @@ def loads(text: str) -> FaceListMap:
 def dumps(m: Union[CombMap, FaceListMap], comment: str = "") -> str:
     if isinstance(m, FaceListMap):
         m = build_from_faces(m)
-    _, starts = _min_code_and_starts(m)
-    order, _ = _traverse(m, starts[0])
-    seen = set()
-    face_order = []
-    for fl in order:
-        fi = m.face_of[fl]
-        if fi not in seen:
-            seen.add(fi)
-            face_order.append(fi)
+    # each face once, in the order the canonical traversal first reaches it
+    face_order = dict.fromkeys(m.face_of[fl] for fl in canonical_order(m))
     lines = []
     if comment:
         for c in comment.splitlines():

@@ -7,11 +7,14 @@ triple in the new numbering gives one candidate code, and the lexicographic
 minimum over all starts is the canonical code.  Two connected maps are
 isomorphic exactly when their codes agree, and each code-minimizing start
 flag yields one automorphism, so the automorphism group falls out of the same
-scan for free.
+scan for free.  The scan runs once per map and is cached on the CombMap:
+canonical_code, automorphism_group, isomorphic and canonical_order all read
+that one record (code, minimizing starts, traversal order from the first).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +25,7 @@ __all__ = [
     "PermGroup",
     "GiGraph",
     "canonical_code",
+    "canonical_order",
     "isomorphic",
     "automorphism_group",
     "recognize_group",
@@ -36,7 +40,7 @@ class CanonicalCode:
     data: bytes
 
     def digest(self) -> str:
-        import hashlib
+        import hashlib  # on first use: importing it loads OpenSSL (+3.7 MB RSS)
 
         return hashlib.sha256(self.data).hexdigest()
 
@@ -76,20 +80,6 @@ def _code_from(m: CombMap, order: list[int], num: list[int]) -> list[int]:
     return code
 
 
-def _min_code_and_starts(m: CombMap) -> tuple[list[int], list[int]]:
-    best: Optional[list[int]] = None
-    starts: list[int] = []
-    for start in range(m.flag_count):
-        order, num = _traverse(m, start)
-        code = _code_from(m, order, num)
-        if best is None or code < best:
-            best = code
-            starts = [start]
-        elif code == best:
-            starts.append(start)
-    return best, starts
-
-
 def _encode(code: list[int]) -> bytes:
     if max(code, default=0) < 255:
         return bytes(code)
@@ -99,10 +89,43 @@ def _encode(code: list[int]) -> bytes:
     return bytes(out)
 
 
+@dataclass(frozen=True)
+class _CanonicalForm:
+    """Result of one canonical scan: the encoded least code, the start flags
+    attaining it in flag order, and the traversal order from the first."""
+
+    code: bytes
+    starts: tuple[int, ...]
+    order: tuple[int, ...]
+
+
+def _scan(m: CombMap) -> _CanonicalForm:
+    """Traverse from every start flag and keep the least code."""
+    best: Optional[list[int]] = None
+    for start in range(m.flag_count):
+        order, num = _traverse(m, start)
+        code = _code_from(m, order, num)
+        if best is None or code < best:
+            best, best_order, starts = code, order, [start]
+        elif code == best:
+            starts.append(start)
+    return _CanonicalForm(_encode(best), tuple(starts), tuple(best_order))
+
+
+def _canonical_form(m: CombMap) -> _CanonicalForm:
+    if m._canon is None:
+        m._canon = _scan(m)
+    return m._canon
+
+
 def canonical_code(m: CombMap) -> CanonicalCode:
     """Lexicographically least traversal code over all start flags."""
-    best, _ = _min_code_and_starts(m)
-    return CanonicalCode(_encode(best))
+    return CanonicalCode(_canonical_form(m).code)
+
+
+def canonical_order(m: CombMap) -> tuple[int, ...]:
+    """Flags in the traversal order of the first code-minimizing start."""
+    return _canonical_form(m).order
 
 
 def isomorphic(m1: CombMap, m2: CombMap) -> Optional[dict[int, int]]:
@@ -114,16 +137,13 @@ def isomorphic(m1: CombMap, m2: CombMap) -> Optional[dict[int, int]]:
     """
     if m1.flag_count != m2.flag_count:
         return None
-    code1, starts1 = _min_code_and_starts(m1)
-    code2, starts2 = _min_code_and_starts(m2)
-    if code1 != code2:
+    form1, form2 = _canonical_form(m1), _canonical_form(m2)
+    if form1.code != form2.code:
         return None
-    order1, _ = _traverse(m1, starts1[0])
-    order2, _ = _traverse(m2, starts2[0])
     mapping: dict[int, int] = {}
-    for k in range(m1.flag_count):
-        a = m1.vertex_of[order1[k]] + 1
-        b = m2.vertex_of[order2[k]] + 1
+    for fl1, fl2 in zip(form1.order, form2.order):
+        a = m1.vertex_of[fl1] + 1
+        b = m2.vertex_of[fl2] + 1
         if mapping.setdefault(a, b) != b:
             return None
     return mapping
@@ -131,41 +151,26 @@ def isomorphic(m1: CombMap, m2: CombMap) -> Optional[dict[int, int]]:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A finite permutation group given by its full element list on flags,
-    with the projected vertex action."""
+    """A finite permutation group on flags: every element (not a generating
+    set), with the projected vertex action in the same order."""
 
     degree: int
-    generators: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, ...], ...]
     vertex_action: tuple[tuple[int, ...], ...]
     order: int
     structure: str
 
     def vertex_orbits(self) -> list[tuple[int, ...]]:
+        # the element list is the whole group, so a vertex's orbit is the
+        # set of its images
         n = len(self.vertex_action[0]) if self.vertex_action else 0
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for perm in self.vertex_action:
-            for i, j in enumerate(perm):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i + 1)
-        return [tuple(g) for g in sorted(groups.values())]
+        orbits = {tuple(sorted({p[i] + 1 for p in self.vertex_action})) for i in range(n)}
+        return sorted(orbits)
 
 
 def _perm_order(p: tuple[int, ...]) -> int:
     n = len(p)
     seen = [False] * n
-    from math import lcm
-
     out = 1
     for i in range(n):
         if not seen[i]:
@@ -175,7 +180,7 @@ def _perm_order(p: tuple[int, ...]) -> int:
                 seen[j] = True
                 j = p[j]
                 length += 1
-            out = lcm(out, length)
+            out = math.lcm(out, length)
     return out
 
 
@@ -183,19 +188,15 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def recognize_group(group) -> str:
-    """Structure label for a small permutation group.
+def recognize_group(elements) -> str:
+    """Structure label for a small permutation group, given as its full
+    element list.
 
-    Accepts a PermGroup or a full element list.  The catalog covers the
-    groups met in the census: trivial, cyclic Z_n, dihedral D_n of order 2n
-    (with the Klein four-group reported as "D_2 (Klein four)"), and
-    elementary abelian groups, all up to order 16.  Anything else is labeled
-    unrecognized(order).
+    The catalog covers the groups met in the census: trivial, cyclic Z_n,
+    dihedral D_n of order 2n (with the Klein four-group reported as "D_2
+    (Klein four)"), and elementary abelian groups, all up to order 16.
+    Anything else is labeled unrecognized(order).
     """
-    if isinstance(group, PermGroup):
-        elements = list(group.generators)
-    else:
-        elements = list(group)
     order = len(elements)
     if order == 1:
         return "trivial"
@@ -211,8 +212,6 @@ def recognize_group(group) -> str:
         return f"Z_{order}"
     for p in (2, 3):
         if all(o in (1, p) for o in orders) and abelian:
-            import math
-
             k = round(math.log(order, p))
             return f"elementary-abelian (Z_{p}^{k})"
     if order % 2 == 0:
@@ -220,16 +219,10 @@ def recognize_group(group) -> str:
         cyc = [g for g in elements if _perm_order(g) == half]
         if cyc:
             g = cyc[0]
-            powers = {g}
-            cur = g
+            powers = [g]  # g, g^2, ..., g^half = identity
             for _ in range(half - 1):
-                cur = _compose(cur, g)
-                powers.add(cur)
-            ident = tuple(range(len(g)))
-            ginv = [0] * len(g)
-            for i, j in enumerate(g):
-                ginv[j] = i
-            ginv = tuple(ginv)
+                powers.append(_compose(powers[-1], g))
+            ident, ginv = powers[-1], powers[-2]
             for h in elements:
                 if h not in powers and _compose(h, h) == ident:
                     if _compose(_compose(h, g), h) == ginv:
@@ -245,19 +238,17 @@ def automorphism_group(m: CombMap) -> PermGroup:
     group order is the number of such flags.  The vertex projection is
     checked to be faithful; polyhedral maps never trip this.
     """
-    _, starts = _min_code_and_starts(m)
-    ref_order, _ = _traverse(m, starts[0])
+    form = _canonical_form(m)
     elements = []
     vertex_elements = []
     seen_vertex = set()
-    for s in starts:
+    for s in form.starts:
         order_s, _ = _traverse(m, s)
         perm = [0] * m.flag_count
-        for k in range(m.flag_count):
-            perm[ref_order[k]] = order_s[k]
         vperm = [0] * m.f0
-        for fl in range(m.flag_count):
-            vperm[m.vertex_of[fl]] = m.vertex_of[perm[fl]]
+        for fl, img in zip(form.order, order_s):
+            perm[fl] = img
+            vperm[m.vertex_of[fl]] = m.vertex_of[img]
         elements.append(tuple(perm))
         vt = tuple(vperm)
         if vt in seen_vertex:
@@ -269,7 +260,7 @@ def automorphism_group(m: CombMap) -> PermGroup:
     structure = recognize_group(elements)
     return PermGroup(
         degree=m.flag_count,
-        generators=tuple(elements),
+        elements=tuple(elements),
         vertex_action=tuple(vertex_elements),
         order=len(elements),
         structure=structure,
@@ -301,20 +292,21 @@ class GiGraph:
         return tuple(sorted(deg))
 
     def is_perfect_matching_on_support(self) -> bool:
-        support = {v for e in self.edges for v in e}
-        deg = {v: 0 for v in support}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return bool(self.edges) and all(d == 1 for d in deg.values())
+        # every vertex of an edge has degree 1: no endpoint repeats
+        ends = [v for e in self.edges for v in e]
+        return bool(ends) and len(set(ends)) == len(ends)
+
+
+def _link_intersections(m: CombMap):
+    """(a, b, |L(a) & L(b)|) for every vertex pair a < b in label order, where
+    L(v) is the vertex set of v's link; each link set is built once."""
+    links = [set(link_cycle(m, v).boundary) for v in range(1, m.f0 + 1)]
+    for a in range(1, m.f0 + 1):
+        la = links[a - 1]
+        for b in range(a + 1, m.f0 + 1):
+            yield a, b, len(la & links[b - 1])
 
 
 def gi_graph(m: CombMap, i: int) -> GiGraph:
-    neighborhoods = [set(link_cycle(m, v).boundary) for v in range(1, m.f0 + 1)]
-    edges = []
-    for a in range(1, m.f0 + 1):
-        na = neighborhoods[a - 1]
-        for b in range(a + 1, m.f0 + 1):
-            if len(na & neighborhoods[b - 1]) == i:
-                edges.append((a, b))
-    return GiGraph(i=i, vertex_count=m.f0, edges=tuple(edges))
+    edges = tuple((a, b) for a, b, k in _link_intersections(m) if k == i)
+    return GiGraph(i=i, vertex_count=m.f0, edges=edges)

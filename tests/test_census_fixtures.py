@@ -1,6 +1,8 @@
 """Census assembly, report schema, and bundled fixtures."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -71,11 +73,17 @@ def test_census_report_json_stable():
     assert {r["type"] for r in doc["rows"]} >= {"[4^3,5^1]", "[3^5,4^1]"}
 
 
+@pytest.fixture(scope="module")
+def short_census():
+    """The default chi = -1 census (long rows gated), computed once."""
+    return census(-1, enum_opts=EnumOptions(threads=2))
+
+
 @pytest.mark.slow_census
-def test_census_exists_set_matches_short_census():
+def test_census_exists_set_matches_short_census(short_census):
     """Default census: the short rows with maps are exactly the five short
     types of the published existence table; the long rows stay gated."""
-    rows = census(-1, enum_opts=EnumOptions(threads=2))
+    rows = short_census
     exists = {str(r.pair.type) for r in rows if r.status.startswith("exists")}
     assert exists == {
         "[3^1,4^1,3^1,4^2]",
@@ -97,3 +105,25 @@ def test_census_exists_set_matches_short_census():
     for t in ("[4^1,10^2]", "[5^1,8^2]"):
         row = next(r for r in rows if str(r.pair.type) == t)
         assert row.status == "empty" and row.complete
+
+
+def _cli(*args):
+    return subprocess.run([sys.executable, "-m", "semeq.cli", *args],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.slow_census
+def test_cli_census_checkpoint_per_row(tmp_path, short_census):
+    # --checkpoint PATH gives every searched row its own file, so a
+    # budget-cut census exits cleanly and a rerun resumes each row
+    path = tmp_path / "census.ckpt"
+    base = ["census", "--chi", "-1", "--checkpoint", str(path), "--json"]
+    cut = _cli(*base, "--budget", "2000")
+    assert cut.returncode == 0, cut.stderr
+    statuses = [row["status"] for row in json.loads(cut.stdout)["rows"]]
+    assert "not-run(budget)" in statuses
+    assert (tmp_path / "census.ckpt.3e5-4e1.n12").exists()
+    assert not path.exists()
+    resumed = _cli(*base, "--threads", "2")
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == census_report_json(-1, short_census) + "\n"

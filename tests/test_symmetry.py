@@ -1,6 +1,8 @@
 """Canonical codes, isomorphism, automorphisms, orbits, link graphs."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -8,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CUBE, OCTAHEDRON, TETRAHEDRON
 
-from semeq.mapcore import FaceListMap, build_from_faces
+from semeq import symmetry
+from semeq.census import analyze_map
+from semeq.fixtures import fixture_map, fixture_names
+from semeq.mapcore import FaceListMap, build_from_faces, face_list_of
+from semeq.mapfile import dumps
 from semeq.symmetry import (
     automorphism_group,
     canonical_code,
@@ -18,6 +24,7 @@ from semeq.symmetry import (
     recognize_group,
     vertex_orbits,
 )
+from semeq.transforms import rectify, truncate
 
 
 def relabeled(flm: FaceListMap, rng: random.Random) -> FaceListMap:
@@ -154,3 +161,48 @@ def test_canonical_code_random_relabelings_property(seed):
     flm = random.Random(seed).choice([TETRAHEDRON, CUBE, OCTAHEDRON])
     base = canonical_code(build_from_faces(flm))
     assert canonical_code(build_from_faces(relabeled(flm, rng))) == base
+
+
+# SHA-256 of each output over the 48 maps below, recorded before the
+# canonical scan was cached on the map; the cache must not change a byte
+PINNED_DIGESTS = {
+    "analyze": "265f2127f50856806b211594c9eba1eaaeee54373c4d2d8585baafa138784e1d",
+    "dumps": "7b12663d69a84fcfdc34130a0f8049e70c9b39b3d3942ba5cdbc1042af6bb3a5",
+    "aut": "bf3847010cd673ca65dd5a38b45fc7c0da86b99b1dca2081a37c5543f4d8a433",
+    "iso": "e6d1a3d4bd5bf0e77a8d15497a854c7d3214e5ae8c9a00bce3bd81d3175cc8ed",
+}
+
+
+def test_outputs_pinned_over_fixtures_and_transforms():
+    # every fixture, its truncation and its rectification
+    maps = []
+    for name in fixture_names():
+        m = fixture_map(name)
+        maps += [m, truncate(m), rectify(m)]
+    assert len(maps) == 48
+    h = {key: hashlib.sha256() for key in PINNED_DIGESTS}
+    rng = random.Random(5)
+    for m in maps:
+        h["analyze"].update(json.dumps(analyze_map(m), sort_keys=True).encode())
+        h["dumps"].update(dumps(m).encode())
+        g = automorphism_group(m)
+        h["aut"].update(repr((g.elements, g.vertex_action, g.structure)).encode())
+        other = build_from_faces(relabeled(face_list_of(m), rng))
+        h["iso"].update(repr(sorted(isomorphic(m, other).items())).encode())
+    assert {key: d.hexdigest() for key, d in h.items()} == PINNED_DIGESTS
+
+
+def test_one_canonical_scan_per_map(monkeypatch):
+    scans = []
+
+    def counting_scan(m):
+        scans.append(m)
+        return scan(m)
+
+    scan = symmetry._scan
+    monkeypatch.setattr(symmetry, "_scan", counting_scan)
+    m = fixture_map("chi-1-4e3-5e1-1")
+    analyze_map(m)
+    dumps(m)
+    assert isomorphic(m, m) is not None
+    assert scans == [m]
