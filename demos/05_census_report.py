@@ -12,6 +12,8 @@ Expect a few minutes of compute; the n = 24 rows dominate.
 """
 
 import json
+import os
+import tempfile
 
 from semeq import EnumOptions, census, census_report_json
 
@@ -30,6 +32,9 @@ for row in doc["rows"]:
 
 exists = sorted(r["type"] for r in doc["rows"] if r["status"].startswith("exists"))
 print("\ntypes with maps among short rows:", exists)
-with open("census-chi-minus-1.json", "w") as fh:
-    fh.write(report)
-print("full report written to census-chi-minus-1.json")
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "census-chi-minus-1.json")
+    with open(out, "w") as fh:
+        fh.write(report)
+    print(f"full report written to {os.path.basename(out)} "
+          f"({os.path.getsize(out)} bytes, in a temporary directory)")

@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ck = os.path.join(tmp, "frontier.ckpt")
     partial = enumerate_maps(
         "[3^5,4^1]", 12, -1,
-        EnumOptions(checkpoint_path=ck, node_budget=2000, checkpoint_every=1),
+        EnumOptions(checkpoint_path=ck, node_budget=2000),
     )
     print(f"  budgeted session: complete={partial.complete}, "
           f"{len(partial.maps)} map(s) so far, checkpoint at {os.path.basename(ck)}")

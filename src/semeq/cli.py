@@ -43,11 +43,14 @@ def _default_threads() -> int:
     return 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _filters(args) -> FilterOptions:
@@ -242,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, enum=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if enum:
-            p.add_argument("--threads", type=_positive_int, default=_default_threads(),
+            p.add_argument("--threads", type=_int_at_least(1), default=_default_threads(),
                            help="worker processes (or env SEMEQ_THREADS)")
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint file path (census: PATH.<type>.n<n> per row)")
-            p.add_argument("--budget", type=int, default=None, help="node budget")
+            p.add_argument("--budget", type=_int_at_least(0), default=None, help="node budget")
             p.add_argument("--long", action="store_true",
                            help="allow long runs (n >= 40)")
 

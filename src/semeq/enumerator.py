@@ -39,7 +39,8 @@ from typing import Optional
 
 from .mapcore import CombMap, FaceListMap, build_from_faces, semi_equivelar_type, validate_polyhedral
 from .symmetry import canonical_code
-from .typecalc import VertexTypeSpec, closed_star_size, euler_characteristic_for, face_counts
+from .typecalc import (VertexTypeSpec, closed_star_size, euler_characteristic_for, face_counts,
+                       parse_type)
 
 __all__ = [
     "EnumOptions",
@@ -53,6 +54,7 @@ __all__ = [
 _CKPT_MAGIC = b"SEMQCKPT"
 _CKPT_VERSION = 1
 _SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
+_SAVE_EVERY_S = 1.0  # least seconds between checkpoint rewrites mid-run
 
 
 class InconsistentParametersError(ValueError):
@@ -67,19 +69,19 @@ class CorruptCheckpointError(ValueError):
 class EnumOptions:
     """Search controls.
 
-    threads > 1 splits the tree into independent subtrees handled by worker
-    processes; the result set never depends on the split.  A checkpoint
-    path splits it the same way, in-process when threads == 1, and saves the
-    unfinished subtrees after each round of threads * checkpoint_every of
-    them (both counts at least 1).  node_budget bounds expanded nodes
-    (complete=False when hit); a split run divides it evenly into
-    per-subtree quotas so that budget truncation stays
-    scheduling-independent.  branch_shuffle_seed randomizes candidate order
-    inside each node (testing aid).  fresh_first tries the new-label branch
-    before label reuse: irrelevant for exhaustive counts, but existence
-    searches on large types typically find a witness orders of magnitude
-    sooner with it.  Both branch-order options need an unsplit run, since
-    subtree paths and checkpoints assume the default order.
+    threads > 1 splits the tree into independent subtrees, one worker task
+    each; the result set never depends on the split.  A checkpoint path
+    splits it the same way, in-process when threads == 1, and rewrites the
+    checkpoint as subtrees finish, at most once a second, and when the run
+    ends.  Subtrees are merged in queue order, so a split run's maps, counts
+    and checkpoint bytes do not depend on threads.  node_budget (at least 0)
+    bounds expanded nodes (complete=False when hit); a split run divides it
+    evenly into per-subtree quotas.  branch_shuffle_seed randomizes
+    candidate order inside each node (testing aid).  fresh_first tries the
+    new-label branch before label reuse: irrelevant for exhaustive counts,
+    but existence searches on large types typically find a witness orders
+    of magnitude sooner with it.  Both branch-order options need an unsplit
+    run, since subtree paths and checkpoints assume the default order.
     disable_pair_prune turns off the incremental polyhedral-intersection
     cuts, leaving the final validator to reject those completions (testing
     aid).
@@ -88,14 +90,15 @@ class EnumOptions:
     threads: int = 1
     node_budget: Optional[int] = None
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 16
     branch_shuffle_seed: Optional[int] = None
     disable_pair_prune: bool = False
     fresh_first: bool = False
 
     def __post_init__(self):
-        if self.threads < 1 or self.checkpoint_every < 1:
-            raise ValueError("threads and checkpoint_every must be at least 1")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError("node_budget must not be negative")
         if (self.threads > 1 or self.checkpoint_path is not None) and (
             self.branch_shuffle_seed is not None or self.fresh_first
         ):
@@ -788,23 +791,16 @@ def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> l
         depth += 3
 
 
-def _run_paths(task) -> tuple:
-    """The executor of _drive: run subtree paths in order from one seeded
-    search until a path is cut.  Returns the maps and stats of the
-    finished paths, those of the cut path (empty when no path was cut) and
-    the paths left unfinished, the cut one first."""
-    params, quota, seed, first_only, paths = task
-    st = _fresh_search(*params)
+def _run_path(task) -> tuple:
+    """The executor of _drive: seed a search and run one subtree path.
+    Returns its maps, its stats and whether it finished (False when the
+    node quota ran out, or first_only collected a map)."""
+    params, quota, seed, first_only, path = task
     rng = None if seed is None else random.Random(seed)
     found, stats = {}, EnumerationStats()
-    for i, path in enumerate(paths):
-        part_found, part = {}, EnumerationStats()
-        if not _run(st, part, part_found, prefix=path, node_quota=quota, rng=rng,
-                    first_only=first_only):
-            return found, stats, (part_found, part), paths[i:]
-        found.update(part_found)
-        stats.merge(part)
-    return found, stats, ({}, EnumerationStats()), []
+    finished = _run(_fresh_search(*params), stats, found, prefix=path,
+                    node_quota=quota, rng=rng, first_only=first_only)
+    return found, stats, finished
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -897,8 +893,6 @@ def _normalize_type(t) -> VertexTypeSpec:
     if isinstance(t, VertexTypeSpec):
         return t
     if isinstance(t, str):
-        from .typecalc import parse_type
-
         return parse_type(t)
     return VertexTypeSpec(tuple(t))
 
@@ -923,19 +917,21 @@ def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
 def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
            collector: dict, stats: EnumerationStats,
            first_only: bool = False) -> Optional[bool]:
-    """The one search loop: a queue of subtree paths run by opts.threads
-    executors, in-process when there is one.
+    """The one search loop: a queue of subtree paths, one task each, run by
+    opts.threads executors, in-process when there is one.
 
     The queue starts as [()] (the whole tree) for an unsplit run, as the
     split frontier for a split run, or as the pending paths of the
-    checkpoint being resumed.  Each round takes threads * checkpoint_every
-    paths, deals them round-robin into one chunk per executor and then saves
-    the checkpoint.  A round in which a path is cut (node quota spent, or
-    first_only collected a map) is the last; its unfinished paths return to
-    the front of the queue.  The checkpoint covers finished subtrees only:
-    the maps and counts of cut subtrees reach collector and stats after the
-    last save, so a resumed run counts each node once.  Returns whether the
-    whole tree was searched, or None when the root star cannot be assembled.
+    checkpoint being resumed.  Results are merged in queue order: each
+    finished path's maps and stats join collector and stats, and the
+    checkpoint is rewritten when _SAVE_EVERY_S seconds have passed since the
+    last save.  The first path that does not finish (node quota spent, or
+    first_only collected a map) ends the loop; it and every later path stay
+    pending.  The checkpoint is written once more at the end.  It covers
+    finished subtrees only: the maps and counts of the cut path reach
+    collector and stats after the last save, so a resumed run counts each
+    node once.  Returns whether the whole tree was searched, or None when
+    the root star cannot be assembled.
     """
     split = opts.threads > 1 or opts.checkpoint_path is not None
     pair_prune = not opts.disable_pair_prune
@@ -959,35 +955,32 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
     if quota is not None and split:
         quota = max(1, quota // max(1, len(queue)))
 
-    threads = opts.threads
-    batch = threads * opts.checkpoint_every
+    tasks = ((params, quota, opts.branch_shuffle_seed, first_only, path) for path in queue)
+    done = 0
     cut_maps, cut_stats = {}, EnumerationStats()
     pool = contextlib.nullcontext()
-    if threads > 1:
+    if opts.threads > 1:
         import multiprocessing
 
-        pool = multiprocessing.get_context("fork").Pool(threads)
+        pool = multiprocessing.get_context("fork").Pool(opts.threads)
     with pool:
-        run = pool.map if threads > 1 else map
-        while True:
-            now, queue = queue[:batch], queue[batch:]
-            tasks = [(params, quota, opts.branch_shuffle_seed, first_only, now[i::threads])
-                     for i in range(min(threads, len(now)))]
-            unfinished = []
-            for found, done, cut, left in run(_run_paths, tasks):
-                collector.update(found)
-                stats.merge(done)
-                cut_maps.update(cut[0])
-                cut_stats.merge(cut[1])
-                unfinished += left
-            queue = unfinished + queue
-            if opts.checkpoint_path:
-                _save_checkpoint(opts.checkpoint_path, header, queue, collector, stats)
-            if unfinished or not queue:
+        run = pool.imap if opts.threads > 1 else map
+        last_save = time.monotonic()
+        for found, part, finished in run(_run_path, tasks):
+            if not finished:
+                cut_maps, cut_stats = found, part
                 break
+            collector.update(found)
+            stats.merge(part)
+            done += 1
+            if opts.checkpoint_path and time.monotonic() - last_save >= _SAVE_EVERY_S:
+                _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
+                last_save = time.monotonic()
+    if opts.checkpoint_path:
+        _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
     collector.update(cut_maps)
     stats.merge(cut_stats)
-    return not queue
+    return done == len(queue)
 
 
 def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> EnumerationResult:

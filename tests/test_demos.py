@@ -1,0 +1,31 @@
+"""The demos run end to end and leave nothing behind in the working directory.
+
+Demo 05 (the full chi = -1 census report, minutes) is left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
+
+
+@pytest.mark.parametrize("name", [
+    "01_admissible_types.py",
+    "02_enumerate_census.py",
+    "03_symmetry_analysis.py",
+    "04_transforms.py",
+    "06_files_and_checkpoints.py",
+])
+def test_demo_runs_clean(name, tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / name)], cwd=tmp_path, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -14,6 +14,7 @@ from semeq.enumerator import (
     exists_any,
 )
 from semeq.mapcore import euler_characteristic, semi_equivelar_type, validate_polyhedral
+from semeq.mapfile import dumps
 from semeq.symmetry import canonical_code, isomorphic
 from semeq.typecalc import parse_type
 
@@ -134,7 +135,7 @@ def test_interrupted_checkpoint_resume(tmp_path, census_35_4):
     path = str(tmp_path / "ck.bin")
     partial = enumerate_maps(
         "[3^5,4^1]", 12, -1,
-        EnumOptions(checkpoint_path=path, node_budget=2000, checkpoint_every=1),
+        EnumOptions(checkpoint_path=path, node_budget=2000),
     )
     assert not partial.complete
     resumed = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
@@ -183,8 +184,7 @@ def test_resumed_run_counts_each_node_once(tmp_path, threads):
     path = str(tmp_path / "ck.bin")
     cut = enumerate_maps(
         "[3^5,4^1]", 12, -1,
-        EnumOptions(checkpoint_path=path, node_budget=2000, checkpoint_every=1,
-                    threads=threads),
+        EnumOptions(checkpoint_path=path, node_budget=2000, threads=threads),
     )
     assert not cut.complete and cut.stats.prunes["budget"] >= 1
     resumed = enumerate_maps("[3^5,4^1]", 12, -1,
@@ -205,10 +205,43 @@ def test_empty_frontier_still_checkpointed(tmp_path):
     assert pending == [] and list(maps) == list(r.codes)
 
 
-@pytest.mark.parametrize("field", ["threads", "checkpoint_every"])
+@pytest.mark.parametrize("field", ["threads"])
 def test_nonpositive_counts_rejected(field):
     with pytest.raises(ValueError):
         enumerate_maps("[3^3]", 4, 2, EnumOptions(**{field: 0}))
+
+
+def test_negative_node_budget_rejected():
+    with pytest.raises(ValueError, match="node_budget"):
+        EnumOptions(node_budget=-1)
+    # a zero budget stays valid: the run is cut at its first node
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(node_budget=0))
+    assert not r.complete and r.stats.prunes["budget"] == 1
+
+
+@pytest.mark.parametrize("budget", [1, 2000, None])
+def test_split_run_independent_of_threads(tmp_path, budget):
+    # finished subtrees are merged in queue order, so a cut run too stops
+    # at the same subtree and saves the same checkpoint whatever the pool
+    runs = []
+    for threads in (1, 2):
+        path = tmp_path / f"t{threads}.ckpt"
+        r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(
+            threads=threads, checkpoint_path=str(path), node_budget=budget))
+        runs.append((r.complete, r.stats.to_dict(), path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (budget is None)
+
+
+def test_split_maps_independent_of_threads(census_35_4):
+    # the face lists, not only the codes, of the unsplit run
+    def written(r):
+        return [m.faces for m in r.maps], [dumps(m) for m in r.maps]
+
+    reference = written(census_35_4)
+    for threads in (2, 4):
+        r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(threads=threads))
+        assert written(r) == reference
 
 
 def test_fresh_first_honoured_in_unsplit_runs(census_35_4):

@@ -184,6 +184,16 @@ def test_cli_threads_must_be_positive(command):
     assert "--threads" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--type", "[3^3]", "--n", "4", "--chi", "2"],
+    ["census", "--chi", "-1"],
+])
+def test_cli_negative_budget_rejected(command):
+    proc = run_cli(*command, "--budget", "-7")
+    assert proc.returncode == 2
+    assert "--budget" in proc.stderr
+
+
 def test_cli_verify_has_no_json_flag(cube_file):
     # verify, iso, truncate and rectify print text only
     proc = run_cli("verify", cube_file, "--json")
