@@ -18,11 +18,13 @@ cost no journal entries and no undo.  Every vertex fan is kept as a table
 of its open arcs, keyed by end neighbour, each entry holding the arc's other
 end and the word of its face sizes.  A new corner joins at most two arcs, so
 a fan check is a few lookups and one substring test against the type cycle,
-with no walk around the fan.  Every prune is a necessary condition (edge
-used by at most two faces, the polyhedral face-intersection rules, partial
-fans embedding into the type cycle, face and label budgets), hence the
-search is exhaustive: it visits a superset of every map of the requested
-type, and each surviving completion is checked again by the full
+with no walk around the fan; its verdict for the labels that end no arc is
+the same, so it is taken once per node.  Candidate lists are read from sets
+of saturated neighbours (edges with two faces).  Every prune is a necessary
+condition (edge used by at most two faces, the polyhedral face-intersection
+rules, partial fans embedding into the type cycle, face and label budgets),
+hence the search is exhaustive: it visits a superset of every map of the
+requested type, and each surviving completion is checked again by the full
 polyhedrality validator before being emitted.
 """
 
@@ -76,12 +78,15 @@ class EnumOptions:
     ends.  Subtrees are merged in queue order, so a split run's maps, counts
     and checkpoint bytes do not depend on threads.  node_budget (at least 0)
     bounds expanded nodes (complete=False when hit); a split run divides it
-    evenly into per-subtree quotas.  branch_shuffle_seed randomizes
-    candidate order inside each node (testing aid).  fresh_first tries the
-    new-label branch before label reuse: irrelevant for exhaustive counts,
-    but existence searches on large types typically find a witness orders
-    of magnitude sooner with it.  Both branch-order options need an unsplit
-    run, since subtree paths and checkpoints assume the default order.
+    evenly into per-subtree quotas of at least 1 each, and the nodes spent
+    building its frontier of subtrees are not charged to the budget, so any
+    budget below the number of subtrees acts as a quota of 1.
+    branch_shuffle_seed randomizes candidate order inside each node (testing
+    aid).  fresh_first tries the new-label branch before label reuse:
+    irrelevant for exhaustive counts, but existence searches on large types
+    typically find a witness orders of magnitude sooner with it.  Both
+    branch-order options need an unsplit run, since subtree paths and
+    checkpoints assume the default order.
     disable_pair_prune turns off the incremental polyhedral-intersection
     cuts, leaving the final validator to reject those completions (testing
     aid).
@@ -156,6 +161,11 @@ class _Search:
     neighbour u to ``(w, word)``, where w is the arc's other end neighbour and
     word spells the arc's face sizes, one character per corner, read from
     the corner at u to the corner at w.  A closed fan has no arcs.
+    ``saturated[v]`` holds the neighbours u whose edge {v, u} carries two
+    faces, kept by _put_edge and its undo.  find_slot gives the next node
+    as ("extend", fid, fan_ok, labels), ("start", v, x, sizes) or
+    ("complete", None, None, ()); fan_ok is _append_ok's fan verdict at the
+    path's last vertex for every label that ends none of its arcs.
     """
 
     def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
@@ -177,6 +187,7 @@ class _Search:
         self.fvset: list[set[int]] = []
         self.fclosed: list[bool] = []
         self.edge_faces: dict[tuple[int, int], list[int]] = {}
+        self.saturated: list[set[int]] = [set() for _ in range(n + 1)]
         self.pair_edges: set[tuple[int, int]] = set()
         self.pair_verts: dict[tuple[int, int], list[int]] = {}
         self.vfaces: list[list[int]] = [[] for _ in range(n + 1)]
@@ -211,9 +222,13 @@ class _Search:
                 f = lst.pop()
                 if not lst:
                     del self.edge_faces[key]
-                elif self.pair_prune:
-                    g = lst[0]
-                    self.pair_edges.discard((g, f) if g < f else (f, g))
+                else:
+                    a, b = key
+                    self.saturated[a].discard(b)
+                    self.saturated[b].discard(a)
+                    if self.pair_prune:
+                        g = lst[0]
+                        self.pair_edges.discard((g, f) if g < f else (f, g))
             elif tag == 2:  # corner, with the arc-end entries it replaced
                 _, v, a, arc_a, b, arc_b, far_a, far_b = op
                 ends = self.ends[v]
@@ -442,6 +457,8 @@ class _Search:
                 g = lst[0]
                 self.pair_edges.add((g, fid) if g < fid else (fid, g))
             lst.append(fid)
+            self.saturated[a].add(b)
+            self.saturated[b].add(a)
         self.journal.append((1, key))
 
     def _put_shared(self, fid: int, y: int) -> None:
@@ -577,11 +594,14 @@ class _Search:
         if nf and not self.fclosed[nf - 1]:
             fid = nf - 1
             tail, head = self.extend_candidates(fid)
+            path = self.fpath[fid]
             if len(head) < len(tail):
-                self.fpath[fid].reverse()
+                path.reverse()
                 self.journal.append((7, fid))
-                return ("extend", fid, head)
-            return ("extend", fid, tail)
+                tail = head
+            # the fan verdict for every y that ends no arc: 0 is no label
+            c = self.size_char[self.fsize[fid]]
+            return ("extend", fid, self._validate_vertex(path[-1], path[-2], 0, c), tail)
         # activate the open vertex with the fullest fan (ties to the lowest
         # label): nearly-closed fans propagate contradictions soonest
         fan_closed = self.fan_closed
@@ -593,7 +613,7 @@ class _Search:
                 v = u
                 best = cc[u]
         if not v:
-            return ("complete",)
+            return ("complete", None, None, ())
         # the new face goes at the lowest arc end; its size must extend the
         # arc read from that end
         ends = self.ends[v]
@@ -611,30 +631,24 @@ class _Search:
         """Labels that may extend the open face fid at its tail (after the
         last path vertex) and at its head (before the first), each as a list
         of (label, fresh) in branching order.  A label is excluded when its
-        fan is full or the new edge to it already carries two faces."""
+        fan is full or the new edge to it already carries two faces, read
+        from the saturated-neighbour sets of the path's two ends."""
         path = self.fpath[fid]
         last, first = path[-1], path[0]
         vset = self.fvset[fid]
-        edge_faces = self.edge_faces
         corner_count = self.corner_count
         d = self.d
+        labels = [y for y in range(2, self.labels_used + 1)
+                  if corner_count[y] < d and y not in vset]
+        sat_tail, sat_head = self.saturated[last], self.saturated[first]
         closing = len(path) + 1 == self.fsize[fid]
-        tail: list[tuple[int, bool]] = []
-        head: list[tuple[int, bool]] = []
-        for y in range(2, self.labels_used + 1):
-            if y in vset or corner_count[y] >= d:
-                continue
-            lst = edge_faces.get((last, y) if last < y else (y, last))
-            free_tail = lst is None or len(lst) < 2
-            lst = edge_faces.get((first, y) if first < y else (y, first))
-            free_head = lst is None or len(lst) < 2
-            if closing:
-                # a closing step lays both edges at y, whichever end it takes
-                free_tail = free_head = free_tail and free_head
-            if free_tail:
-                tail.append((y, False))
-            if free_head:
-                head.append((y, False))
+        if closing:
+            # a closing step lays both edges at y, whichever end it takes
+            tail = [(y, False) for y in labels if y not in sat_tail and y not in sat_head]
+            head = list(tail)
+        else:
+            tail = [(y, False) for y in labels if y not in sat_tail]
+            head = [(y, False) for y in labels if y not in sat_head]
         if self.labels_used < self.n:
             fresh = (self.labels_used + 1, True)
             for out in (tail, head):
@@ -698,70 +712,87 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     checks the closed face once applied, and a new face is applied before
     it is checked, both unwound when they fail.  Either way a rejected
     candidate counts as one ``constraint`` prune.
+
+    A loop over a stack, not a recursion: CPython allocates and frees a
+    frame chunk on each call that crosses a chunk boundary, so under
+    recursion the cost of the checks would depend on the depth they run at.
     """
     nodes = 0
     pruned = 0
     cut = False
     track = split_depth is not None
-
-    def rec(depth: int, path: tuple[int, ...]) -> None:
-        nonlocal nodes, pruned, cut
-        slot = st.find_slot()
-        kind = slot[0]
-        if kind == "complete":
-            if _on_complete(st, stats, collector) and first_only:
-                cut = True
-            return
-        if track and depth >= split_depth:
-            frontier.append(path)
-            return
-        extend = kind == "extend"
-        if extend:
-            fid, cands = slot[1], slot[2]
-        else:
-            v, x, cands = slot[1], slot[2], slot[3]
-        if depth < len(prefix):
-            idx = prefix[depth]
-            if idx >= len(cands):
-                raise CorruptCheckpointError(
-                    "recorded branch index does not exist at replay"
-                )
-            chosen = ((idx, cands[idx]),)
-            count_nodes = False
-        else:
-            if rng is not None:
-                cands = list(cands)
-                rng.shuffle(cands)
-            chosen = enumerate(cands)
-            count_nodes = True
-        for idx, cand in chosen:
-            if cut:
-                break
-            if extend:
-                y = cand[0]
-                if not st._append_ok(fid, y):
-                    pruned += 1
-                    continue
-                m = st.mark()
-                ok = st._append_vertex(fid, y, cand[1])
-            else:
-                m = st.mark()
-                ok = st._start_face(cand, x, v)
-            if ok:
-                if count_nodes:
-                    nodes += 1
-                    if node_quota is not None and nodes > node_quota:
-                        cut = True
-                        stats.bump("budget")
-                if not cut:
-                    rec(depth + 1, path + (idx,) if track else path)
-            else:
-                pruned += 1
-            st.undo_to(m)
-
+    # open nodes, root first: (depth, path, candidates left, count_nodes,
+    # a, b of the slot, arc ends at the path's end or None at a new face);
+    # marks[i]: the journal mark before open node i's current child
+    stack: list[tuple] = []
+    marks: list[int] = []
+    depth, path = 0, ()
     mark0 = st.mark()
     try:
-        rec(0, ())
+        while True:
+            kind, a, b, cands = st.find_slot()  # the node the state stands at
+            if kind == "complete" or (track and depth >= split_depth):
+                if kind != "complete":
+                    frontier.append(path)
+                elif _on_complete(st, stats, collector) and first_only:
+                    cut = True
+                if marks:
+                    st.undo_to(marks.pop())
+            else:
+                if depth < len(prefix):
+                    idx = prefix[depth]
+                    if idx >= len(cands):
+                        raise CorruptCheckpointError("recorded branch index does not "
+                                                     "exist at replay")
+                    chosen = iter(((idx, cands[idx]),))
+                    count_nodes = False
+                else:
+                    if rng is not None:
+                        cands = list(cands)
+                        rng.shuffle(cands)
+                    chosen = enumerate(cands)
+                    count_nodes = True
+                arc_ends = st.ends[st.fpath[a][-1]] if kind == "extend" else None
+                stack.append((depth, path, chosen, count_nodes, a, b, arc_ends))
+            # apply the next child of the deepest open node, closing the
+            # nodes that have none left
+            while stack:
+                depth, path, chosen, count_nodes, a, b, arc_ends = stack[-1]
+                for idx, cand in chosen:
+                    if cut:
+                        break
+                    if arc_ends is not None:
+                        # extend face a by y; b is the fan verdict off the arcs
+                        y = cand[0]
+                        if not (b or y in arc_ends) or not st._append_ok(a, y):
+                            pruned += 1
+                            continue
+                        m = st.mark()
+                        ok = st._append_vertex(a, y, cand[1])
+                    else:
+                        # a new face of size cand at vertex a, next to b
+                        m = st.mark()
+                        ok = st._start_face(cand, b, a)
+                    if ok:
+                        if count_nodes:
+                            nodes += 1
+                            if node_quota is not None and nodes > node_quota:
+                                cut = True
+                                stats.bump("budget")
+                        if not cut:
+                            marks.append(m)
+                            break
+                    else:
+                        pruned += 1
+                    st.undo_to(m)
+                if len(marks) == len(stack):  # a child was applied: search it
+                    depth, path = depth + 1, (path + (idx,) if track else path)
+                    break
+                stack.pop()
+                if marks:
+                    st.undo_to(marks.pop())
+            else:
+                break
     finally:
         st.undo_to(mark0)
         stats.nodes += nodes

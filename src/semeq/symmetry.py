@@ -7,9 +7,12 @@ triple in the new numbering gives one candidate code, and the lexicographic
 minimum over all starts is the canonical code.  Two connected maps are
 isomorphic exactly when their codes agree, and each code-minimizing start
 flag yields one automorphism, so the automorphism group falls out of the same
-scan for free.  The scan runs once per map and is cached on the CombMap:
-canonical_code, automorphism_group, isomorphic and canonical_order all read
-that one record (code, minimizing starts, traversal order from the first).
+scan for free.  A start is dropped at the first code entry above the least
+code so far (McKay, J. Algorithms 26, 1998); one that ties or wins runs to
+the end, so the minimizing starts are those of a full scan.  The scan runs
+once per map and is cached on the CombMap: canonical_code,
+automorphism_group, isomorphic and canonical_order all read that one record
+(code, minimizing starts, traversal order from the first).
 """
 
 from __future__ import annotations
@@ -45,41 +48,6 @@ class CanonicalCode:
         return hashlib.sha256(self.data).hexdigest()
 
 
-def _traverse(m: CombMap, start: int) -> tuple[list[int], list[int]]:
-    """BFS flag numbering from one start flag.
-
-    Returns (order, num): order[k] is the original id of the k-th visited
-    flag, num the inverse array.
-    """
-    nf = m.flag_count
-    s0, s1, s2 = m.s0, m.s1, m.s2
-    num = [-1] * nf
-    order = [0] * nf
-    num[start] = 0
-    order[0] = start
-    filled = 1
-    head = 0
-    while head < filled:
-        fl = order[head]
-        head += 1
-        for img in (s0[fl], s1[fl], s2[fl]):
-            if num[img] < 0:
-                num[img] = filled
-                order[filled] = img
-                filled += 1
-    return order, num
-
-
-def _code_from(m: CombMap, order: list[int], num: list[int]) -> list[int]:
-    s0, s1, s2 = m.s0, m.s1, m.s2
-    code = []
-    for fl in order:
-        code.append(num[s0[fl]])
-        code.append(num[s1[fl]])
-        code.append(num[s2[fl]])
-    return code
-
-
 def _encode(code: list[int]) -> bytes:
     if max(code, default=0) < 255:
         return bytes(code)
@@ -99,15 +67,46 @@ class _CanonicalForm:
     order: tuple[int, ...]
 
 
+def _traverse(m: CombMap, start: int, bound: Optional[list[int]] = None
+              ) -> Optional[tuple[list[int], list[int]]]:
+    """BFS flag numbering from one start flag, with its code written as the
+    traversal runs: each visited flag adds the numbers of its s0, s1, s2
+    images.  Returns (code, order), order[k] being the k-th visited flag, or
+    None at the first entry where the code rises above bound."""
+    nf = m.flag_count
+    s0, s1, s2 = m.s0, m.s1, m.s2
+    num = [-1] * nf
+    num[start] = 0
+    order = [start]
+    code: list[int] = []
+    below = bound is None  # the code is already less than bound
+    for fl in order:  # the list grows while it is read
+        for img in (s0[fl], s1[fl], s2[fl]):
+            k = num[img]
+            if k < 0:
+                k = num[img] = len(order)
+                order.append(img)
+            if not below:
+                b = bound[len(code)]
+                if k > b:
+                    return None
+                below = k < b
+            code.append(k)
+    return code, order
+
+
 def _scan(m: CombMap) -> _CanonicalForm:
-    """Traverse from every start flag and keep the least code."""
+    """Traverse from every start flag and keep the least code, dropping a
+    start at its first code entry above the least code so far."""
     best: Optional[list[int]] = None
     for start in range(m.flag_count):
-        order, num = _traverse(m, start)
-        code = _code_from(m, order, num)
+        found = _traverse(m, start, best)
+        if found is None:
+            continue
+        code, order = found
         if best is None or code < best:
             best, best_order, starts = code, order, [start]
-        elif code == best:
+        else:
             starts.append(start)
     return _CanonicalForm(_encode(best), tuple(starts), tuple(best_order))
 
@@ -243,7 +242,7 @@ def automorphism_group(m: CombMap) -> PermGroup:
     vertex_elements = []
     seen_vertex = set()
     for s in form.starts:
-        order_s, _ = _traverse(m, s)
+        order_s = _traverse(m, s)[1]
         perm = [0] * m.flag_count
         vperm = [0] * m.f0
         for fl, img in zip(form.order, order_s):

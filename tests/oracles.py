@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import permutations
 
+from semeq.symmetry import _encode
 from semeq.typecalc import AdmissiblePair, FilterOptions, VertexTypeSpec, _passes, normalize_cycle
 
 
@@ -39,3 +40,28 @@ def admissible_types_bruteforce(
                     break
                 stack.append((prefix + [p], p, nacc))
     return sorted(found.values(), key=lambda a: (a.type.degree, a.n, a.type.cycle))
+
+
+def canonical_scan_full(m) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
+    """Oracle for symmetry._scan: traverse from every start flag to the end,
+    write each code in full, and compare whole codes.  Returns the encoded
+    least code, the start flags attaining it in flag order, and the
+    traversal order from the first of them."""
+    best = None
+    for start in range(m.flag_count):
+        num = [-1] * m.flag_count
+        num[start] = 0
+        order = [start]
+        for fl in order:  # BFS: the list grows while it is read
+            for img in (m.s0[fl], m.s1[fl], m.s2[fl]):
+                if num[img] < 0:
+                    num[img] = len(order)
+                    order.append(img)
+        code = []
+        for fl in order:
+            code += (num[m.s0[fl]], num[m.s1[fl]], num[m.s2[fl]])
+        if best is None or code < best:
+            best, best_order, starts = code, order, [start]
+        elif code == best:
+            starts.append(start)
+    return _encode(best), tuple(starts), tuple(best_order)

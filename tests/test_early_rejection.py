@@ -8,7 +8,11 @@ from the paths alone, each check the step made when it was applied before
 being checked: edge loads, adjacent-size words, the face-pair intersection
 rules and, corner by corner, the fans that get a new corner.  Only the checks
 that need the closed face (deferred face pairs, size supply) are left to the
-applied step.
+applied step.  The walk also holds the kernel's shortcuts against plain
+derivations: the candidate lists against the face paths and corner counts,
+the saturated-neighbour sets against the edge table (after every undo too),
+and the once-per-node fan verdict against the fan test of each candidate
+that ends no arc of the fan.
 """
 
 import pytest
@@ -202,17 +206,68 @@ def _edge_map(st):
     return edges
 
 
+def _saturated_ok(st):
+    """The saturated-neighbour sets are those of the edges with two faces."""
+    want = [set() for _ in st.saturated]
+    for (a, b), faces in st.edge_faces.items():
+        if len(faces) == 2:
+            want[a].add(b)
+            want[b].add(a)
+    return st.saturated == want
+
+
+def _candidates(st, fid, edges):
+    """extend_candidates, rebuilt from the face paths and the corner counts."""
+    path = st.fpath[fid]
+    last, first = path[-1], path[0]
+    closing = len(path) + 1 == st.fsize[fid]
+    tail, head = [], []
+    for y in range(2, st.labels_used + 1):
+        if y in path or st.corner_count[y] >= st.d:
+            continue
+        free_tail = len(edges.get(frozenset((last, y)), [])) < 2
+        free_head = len(edges.get(frozenset((first, y)), [])) < 2
+        if closing:
+            free_tail = free_head = free_tail and free_head
+        if free_tail:
+            tail.append((y, False))
+        if free_head:
+            head.append((y, False))
+    if st.labels_used < st.n:
+        for out in (tail, head):
+            out.insert(0 if st.fresh_first else len(out), (st.labels_used + 1, True))
+    if closing:
+        if st.corner_count[first] >= st.d:
+            tail = []
+        if st.corner_count[last] >= st.d:
+            head = []
+    return tail, head
+
+
 def _walk(st, tally):
-    """The search tree of _run, checking every extension candidate."""
+    """The search tree of _run, checking every extension candidate, the
+    candidate lists, the per-node fan verdict and the saturated sets."""
+    assert _saturated_ok(st)
+    nf = len(st.fsize)
+    if nf and not st.fclosed[-1]:
+        assert st.extend_candidates(nf - 1) == _candidates(st, nf - 1, _edge_map(st))
     slot = st.find_slot()
     if slot[0] == "complete":
         return
     if slot[0] == "extend":
-        fid = slot[1]
+        _, fid, fan_ok, cands = slot
         edges = _edge_map(st)
-        for y, fresh in slot[2]:
+        path = st.fpath[fid]
+        v, c = path[-1], st.size_char[st.fsize[fid]]
+        for y, fresh in cands:
             early = st._append_ok(fid, y)
             assert early == _step_ok(st, edges, fid, y), (fid, y, st.snapshot_faces())
+            if y not in st.ends[v]:
+                # the verdict stands for every candidate that ends no arc at v
+                assert fan_ok == st._validate_vertex(v, path[-2], y, c)
+                if not fan_ok:
+                    assert not early
+                    tally["off_arc"] += 1
             if not early:
                 tally["early"] += 1
                 continue
@@ -223,6 +278,7 @@ def _walk(st, tally):
             else:
                 tally["late"] += 1
             st.undo_to(m)
+            assert _saturated_ok(st)
     else:
         _, v, x, sizes = slot
         for s in sizes:
@@ -233,6 +289,7 @@ def _walk(st, tally):
             else:
                 tally["late"] += 1
             st.undo_to(m)
+            assert _saturated_ok(st)
 
 
 ROWS = [
@@ -249,10 +306,10 @@ ROWS = [
 def test_early_rejection_matches_full_step(tstr, n, chi, pair_prune):
     spec = parse_type(tstr)
     st = _fresh_search(spec.cycle, n, face_counts(spec, n), pair_prune)
-    tally = {"nodes": 0, "early": 0, "late": 0}
+    tally = {"nodes": 0, "early": 0, "late": 0, "off_arc": 0}
     _walk(st, tally)
     stats = enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=not pair_prune)).stats
     assert tally["nodes"] == stats.nodes
     assert tally["early"] + tally["late"] == stats.prunes.get("constraint", 0)
     if stats.nodes > 1000:
-        assert tally["early"] > 0 and tally["late"] > 0
+        assert tally["early"] > 0 and tally["late"] > 0 and tally["off_arc"] > 0

@@ -177,6 +177,19 @@ def test_fresh_first_witness_pinned():
     )
 
 
+def test_cut_witness_run_pinned():
+    # the row where candidates that end no arc are skipped most often; a
+    # budget cut shows that they are still counted one by one, in list order
+    r = enumerate_maps("[4^1,6^1,14^1]", 84, -1,
+                       EnumOptions(fresh_first=True, node_budget=2000))
+    assert not r.complete
+    assert r.stats.to_dict() == {
+        "nodes": 2001, "completions": 0, "rejected_nonpolyhedral": 0,
+        "rejected_wrong_type": 0, "rejected_wrong_size": 0,
+        "prunes": {"budget": 1, "constraint": 77070},
+    }
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_resumed_run_counts_each_node_once(tmp_path, threads):
     # the checkpoint holds the counts of finished subtrees only, so the

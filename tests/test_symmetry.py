@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CUBE, OCTAHEDRON, TETRAHEDRON
+from oracles import canonical_scan_full
 
 from semeq import symmetry
 from semeq.census import analyze_map
@@ -206,3 +207,16 @@ def test_one_canonical_scan_per_map(monkeypatch):
     dumps(m)
     assert isomorphic(m, m) is not None
     assert scans == [m]
+
+
+def test_scan_matches_full_scan_oracle():
+    # ties dominate on the symmetric maps, early stops on the asymmetric
+    # ones; relabelled copies change which start flags come first
+    rng = random.Random(11)
+    for name in fixture_names():
+        m = fixture_map(name)
+        for base in (m, truncate(m), rectify(m)):
+            copies = [build_from_faces(relabeled(face_list_of(base), rng)) for _ in range(3)]
+            for x in [base] + copies:
+                form = symmetry._scan(x)
+                assert (form.code, form.starts, form.order) == canonical_scan_full(x), name

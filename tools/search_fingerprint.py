@@ -1,0 +1,107 @@
+"""Print one SHA-256 per section of what the chi = -1 search produces.
+
+A change that must leave the search tree alone (a faster kernel, a faster
+canonical scan) should leave every line of this output as it is:
+
+  rows        stats, codes and map files of every admissible row with
+              n <= 24, under the default options, disable_pair_prune,
+              branch_shuffle_seed=7, node_budget=500 and threads=2;
+              disable_pair_prune skips [3^4,8^1]/24, whose tree it grows
+              from 671,918 nodes to more than 2,000,000
+  checkpoint  the checkpoint bytes of each of those rows cut at
+              node_budget=1000
+  witness     the face lists and canonical digests of the fresh_first
+              witnesses of the four existence rows
+  census      stdout of `semeq census --chi -1 --json`
+
+Usage: python tools/search_fingerprint.py [CHECKOUT]
+
+CHECKOUT is the repository whose src/ is fingerprinted (default: the one
+this script sits in), so a second checkout can be compared without copying
+the script into it.  Takes about five minutes on 2 CPUs; [3^4,8^1]/24
+dominates.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from semeq.enumerator import EnumOptions, enumerate_maps, exists_any  # noqa: E402
+from semeq.mapfile import dumps  # noqa: E402
+from semeq.symmetry import canonical_code  # noqa: E402
+from semeq.typecalc import admissible_types  # noqa: E402
+
+OPTION_SETS = {
+    "default": {},
+    "no-pair-prune": {"disable_pair_prune": True},
+    "shuffle-7": {"branch_shuffle_seed": 7},
+    "budget-500": {"node_budget": 500},
+    "threads-2": {"threads": 2},
+}
+SLOW_WITHOUT_PAIR_PRUNE = {("[3^4,8^1]", 24)}
+WITNESS_ROWS = [("[6^2,7^1]", 42), ("[3^1,4^1,7^1,4^1]", 42),
+                ("[4^1,8^1,10^1]", 40), ("[4^1,6^1,14^1]", 84)]
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def rows_section(rows) -> str:
+    out = []
+    for name, kw in OPTION_SETS.items():
+        for pair in rows:
+            row = (str(pair.type), pair.n)
+            if kw.get("disable_pair_prune") and row in SLOW_WITHOUT_PAIR_PRUNE:
+                continue
+            r = enumerate_maps(pair.type, pair.n, -1, EnumOptions(**kw))
+            out.append([name, str(pair.type), pair.n, r.complete, r.stats.to_dict(),
+                        [c.hex() for c in r.codes], [dumps(m) for m in r.maps]])
+    return _digest(out)
+
+
+def checkpoint_section(rows) -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, pair in enumerate(rows):
+            path = os.path.join(tmp, f"row{i}.ckpt")
+            enumerate_maps(pair.type, pair.n, -1,
+                           EnumOptions(checkpoint_path=path, node_budget=1000))
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def witness_section() -> str:
+    out = []
+    for tstr, n in WITNESS_ROWS:
+        m = exists_any(tstr, n, -1, EnumOptions(fresh_first=True))
+        out.append(None if m is None else [m.faces, canonical_code(m).digest()])
+    return _digest(out)
+
+
+def census_section() -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "semeq.cli", "census", "--chi", "-1", "--json"],
+                         env=env, capture_output=True, check=True)
+    return hashlib.sha256(out.stdout).hexdigest()
+
+
+def main() -> None:
+    rows = [p for p in admissible_types(-1) if p.n <= 24]
+    print("rows", rows_section(rows), flush=True)
+    print("checkpoint", checkpoint_section(rows), flush=True)
+    print("witness", witness_section(), flush=True)
+    print("census", census_section(), flush=True)
+
+
+if __name__ == "__main__":
+    main()
