@@ -17,10 +17,12 @@ functions of the state and the candidate, so the many candidates that fail
 cost no journal entries and no undo.  Every vertex fan is kept as a table
 of its open arcs, keyed by end neighbour, each entry holding the arc's other
 end and the word of its face sizes.  A new corner joins at most two arcs, so
-a fan check is a few lookups and one substring test against the type cycle,
-with no walk around the fan; its verdict for the labels that end no arc is
-the same, so it is taken once per node.  Candidate lists are read from sets
-of saturated neighbours (edges with two faces).  Every prune is a necessary
+a fan check is a few lookups and one set lookup among the words of the type
+cycle, with no walk around the fan; its verdict for the labels that end no
+arc is the same, so it is taken once per node.  Candidate lists are read
+from sets of saturated neighbours (edges with two faces).  The state stores
+each fact once: whether a face or a fan is closed is read from its path
+length or corner count, not kept beside them.  Every prune is a necessary
 condition (edge used by at most two faces, the polyhedral face-intersection
 rules, partial fans embedding into the type cycle, face and label budgets),
 hence the search is exhaustive: it visits a superset of every map of the
@@ -64,7 +66,8 @@ class InconsistentParametersError(ValueError):
 
 
 class CorruptCheckpointError(ValueError):
-    """Checkpoint blob has a bad magic, version, or parameter signature."""
+    """Checkpoint blob has a bad magic, version, or parameter signature, or
+    records a subtree path the search does not have."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,19 @@ class _Search:
     word spells the arc's face sizes, one character per corner, read from
     the corner at u to the corner at w.  A closed fan has no arcs.
     ``saturated[v]`` holds the neighbours u whose edge {v, u} carries two
-    faces, kept by _put_edge and its undo.  find_slot gives the next node
+    faces, kept by _put_edge and its undo.  ``words`` holds every run of 1
+    to d consecutive sizes around the type cycle, read in either direction,
+    one character per size; a word of at most d sizes embeds in the cycle
+    exactly when it is in the set.
+
+    Some facts are read, not stored.  A face is closed exactly when its
+    path holds fsize vertices, since _close_face runs in the step that
+    fills the path, and only the last face can be open.  A fan is closed
+    exactly when it has d corners, since _validate_vertex refuses a d-th
+    corner that does not close the cycle.  The multiplicity of a size in
+    the type is counted in ``cycle`` when a size runs out.
+
+    find_slot gives the next node
     as ("extend", fid, fan_ok, labels), ("start", v, x, sizes) or
     ("complete", None, None, ()); fan_ok is _append_ok's fan verdict at the
     path's last vertex for every label that ends none of its arcs.
@@ -174,31 +189,23 @@ class _Search:
         self.d = len(cycle)
         self.n = n
         chars = {s: chr(s) for s in set(cycle)}
-        tstr = "".join(chars[s] for s in cycle)
         self.size_char = chars
-        self.t2 = tstr + tstr
-        rstr = tstr[::-1]
-        self.r2 = rstr + rstr
+        t2 = "".join(chars[s] for s in cycle) * 2
+        runs = {t2[i:i + k] for i in range(self.d) for k in range(1, self.d + 1)}
+        self.words = runs | {w[::-1] for w in runs}
         self.pair_prune = pair_prune
         self.fresh_first = fresh_first
 
         self.fsize: list[int] = []
         self.fpath: list[list[int]] = []
-        self.fvset: list[set[int]] = []
-        self.fclosed: list[bool] = []
         self.edge_faces: dict[tuple[int, int], list[int]] = {}
         self.saturated: list[set[int]] = [set() for _ in range(n + 1)]
-        self.pair_edges: set[tuple[int, int]] = set()
         self.pair_verts: dict[tuple[int, int], list[int]] = {}
         self.vfaces: list[list[int]] = [[] for _ in range(n + 1)]
         self.budget = dict(budgets)
         self.sizes_sorted = sorted(budgets)
-        self.type_mult: dict[int, int] = {}
-        for s in cycle:
-            self.type_mult[s] = self.type_mult.get(s, 0) + 1
         self.corner_count = [0] * (n + 1)
         self.ends: list[dict[int, tuple[int, str]]] = [dict() for _ in range(n + 1)]
-        self.fan_closed = bytearray(n + 1)
         self.labels_used = 0
         self.journal: list[tuple] = []
 
@@ -213,27 +220,21 @@ class _Search:
             op = j.pop()
             tag = op[0]
             if tag == 0:  # vertex appended to a face
-                fid = op[1]
-                y = self.fpath[fid].pop()
-                self.fvset[fid].discard(y)
+                self.fpath[op[1]].pop()
             elif tag == 1:  # face laid along an edge
                 key = op[1]
                 lst = self.edge_faces[key]
-                f = lst.pop()
+                lst.pop()
                 if not lst:
                     del self.edge_faces[key]
                 else:
                     a, b = key
                     self.saturated[a].discard(b)
                     self.saturated[b].discard(a)
-                    if self.pair_prune:
-                        g = lst[0]
-                        self.pair_edges.discard((g, f) if g < f else (f, g))
             elif tag == 2:  # corner, with the arc-end entries it replaced
                 _, v, a, arc_a, b, arc_b, far_a, far_b = op
                 ends = self.ends[v]
                 self.corner_count[v] -= 1
-                self.fan_closed[v] = 0
                 if arc_a is None or arc_a[0] != b:
                     del ends[a if arc_a is None else arc_a[0]]
                     del ends[b if arc_b is None else arc_b[0]]
@@ -259,10 +260,6 @@ class _Search:
                 self.budget[self.fsize[fid]] += 1
                 self.fsize.pop()
                 self.fpath.pop()
-                self.fvset.pop()
-                self.fclosed.pop()
-            elif tag == 5:  # face closed
-                self.fclosed[op[1]] = False
             elif tag == 6:  # label
                 self.labels_used -= 1
             elif tag == 7:  # path reversed
@@ -270,40 +267,33 @@ class _Search:
 
     # -- checks: pure functions of the state and one prospective change -----
 
-    def _edge_ok(self, a: int, b: int, fid: int, c: str) -> bool:
-        """Face fid (size character c) may be laid along edge {a, b}: the edge
-        has a free side, and a face already on it has a size next to c
+    def _edge_ok(self, a: int, b: int, c: str) -> bool:
+        """A face of size character c may be laid along edge {a, b}: the
+        edge has a free side, and a face already on it has a size next to c
         somewhere in the type cycle (the two sit side by side in both
-        endpoint fans) and shares no other edge with fid."""
+        endpoint fans).
+
+        Whether that face already shares another edge with the open face
+        needs no test of its own: if it did, the open face laid along a
+        second edge of it would either share a third vertex with it, which
+        the pair prune's _shared_ok rejects, or repeat its corner at the
+        path's end, which the fan test rejects first."""
         lst = self.edge_faces.get((a, b) if a < b else (b, a))
         if lst is None:
             return True
-        if len(lst) >= 2:
-            return False
-        g = lst[0]
-        w = self.size_char[self.fsize[g]] + c
-        if w not in self.t2 and w not in self.r2:
-            return False
-        return not self.pair_prune or ((g, fid) if g < fid else (fid, g)) not in self.pair_edges
+        return len(lst) < 2 and self.size_char[self.fsize[lst[0]]] + c in self.words
 
     def _pair_feasible(self, f: int, g: int, u: int, w: int, f_fits: bool = False) -> bool:
         """Two faces sharing the vertices u and w must share exactly the edge
-        {u, w}: no third face may sit on it, and each face must carry it or
-        still be able to close on it.  For f that is read from the tables
-        unless f_fits already says so."""
-        key = (u, w) if u < w else (w, u)
-        efs = self.edge_faces.get(key, ())
+        {u, w}: no third face may sit on it, and each face must carry it.  g
+        is a closed face (only the face being built is open), so it carries
+        the edge or never will; f carries it, or is the open face still able
+        to close on it, when f_fits says so, and otherwise the tables tell."""
+        efs = self.edge_faces.get((u, w) if u < w else (w, u), ())
         for h in efs:
             if h != f and h != g:
                 return False
-        if not f_fits and f not in efs:
-            return False
-        if g in efs:
-            return True
-        if self.fclosed[g]:
-            return False
-        path = self.fpath[g]
-        return (path[0] == u and path[-1] == w) or (path[0] == w and path[-1] == u)
+        return (f_fits or f in efs) and g in efs
 
     def _shared_ok(self, fid: int, y: int) -> bool:
         """Extending the open face fid by y keeps every face pair meeting at
@@ -348,8 +338,10 @@ class _Search:
 
         The fan is read from the arc-end table ``ends[v]``.  The corner joins
         at most two arcs, the ones ending at a and at b, so the test is two
-        lookups plus one substring test of the joined size word in
-        ``t2``/``r2``.  Closing an arc into a cycle is legal only as the
+        lookups plus one lookup of the joined size word in ``words``; the
+        word has at most d sizes.  A d-th corner is accepted only when it
+        closes the fan, so a fan is closed exactly when it has d corners.
+        Closing an arc into a cycle is legal only as the
         whole fan; otherwise every arc must embed in the type cycle, and
         joining k arcs into the fan takes at least k more corners.  A fan
         one corner short needs no further test: a word of d - 1 sizes that
@@ -374,14 +366,13 @@ class _Search:
         elif arc_a[0] == b:
             # the arc closes into a cycle: legal only as the whole fan (a
             # valid fan one corner short is a single arc)
-            word = c + arc_a[1]
-            return count == d and (word in self.t2 or word in self.r2)
+            return count == d and c + arc_a[1] in self.words
         else:
             arcs -= 1
             word = ends[arc_a[0]][1] + c + arc_b[1]
         if count == d or d - count < arcs:
             return False
-        return word in self.t2 or word in self.r2
+        return word in self.words
 
     def _half_corner_ok(self, y: int, v: int, c: str) -> bool:
         """A face of size character c is laid along edge {v, y} without a
@@ -389,10 +380,7 @@ class _Search:
         to sit next to it in y's fan, so the arc word extended by c must
         still embed."""
         arc = self.ends[y].get(v)
-        if arc is None:
-            return True
-        w = c + arc[1]
-        return w in self.t2 or w in self.r2
+        return arc is None or c + arc[1] in self.words
 
     def _append_ok(self, fid: int, y: int) -> bool:
         """Whether extending the open face fid by y passes the checks of the
@@ -412,7 +400,7 @@ class _Search:
                 return False
         elif not self._validate_vertex(v, path[-2], y, c):
             return False
-        if not self._edge_ok(v, y, fid, c):
+        if not self._edge_ok(v, y, c):
             return False
         if self.pair_prune and not self._shared_ok(fid, y):
             return False
@@ -426,20 +414,21 @@ class _Search:
         first = path[0]
         return (self._validate_vertex(y, v, first, c)
                 and self._validate_vertex(first, y, path[1], c)
-                and self._edge_ok(y, first, fid, c))
+                and self._edge_ok(y, first, c))
 
     def _size_supply_ok(self, s: int) -> bool:
         """No s-faces remain (budget spent, none open): every vertex must
         already own its full quota of s-corners, and no vertex can still be
-        missing."""
+        missing.  A fan with d corners is closed and owns its quota; the
+        quota is the number of times s occurs in the type cycle."""
         if self.labels_used < self.n:
             return False
         # an open fan's corners are those of its arcs, each arc listed at
         # both of its ends
-        need = 2 * self.type_mult[s]
+        need = 2 * self.cycle.count(s)
         ch = self.size_char[s]
         for v in range(1, self.labels_used + 1):
-            if self.fan_closed[v]:
+            if self.corner_count[v] == self.d:
                 continue
             if sum(word.count(ch) for _, word in self.ends[v].values()) < need:
                 return False
@@ -453,9 +442,6 @@ class _Search:
         if lst is None:
             self.edge_faces[key] = [fid]
         else:
-            if self.pair_prune:
-                g = lst[0]
-                self.pair_edges.add((g, fid) if g < fid else (fid, g))
             lst.append(fid)
             self.saturated[a].add(b)
             self.saturated[b].add(a)
@@ -485,7 +471,6 @@ class _Search:
         self.corner_count[v] += 1
         if arc_a is not None and arc_a[0] == b:
             # the last arc closes into the full fan cycle
-            self.fan_closed[v] = 1
             far_a, far_b = arc_b, arc_a
         else:
             far_a = far_b = None
@@ -511,8 +496,6 @@ class _Search:
         self.budget[size] -= 1
         self.fsize.append(size)
         self.fpath.append([x])
-        self.fvset.append({x})
-        self.fclosed.append(False)
         self.journal.append((4, fid))
         if self.pair_prune:
             self._put_shared(fid, x)
@@ -532,7 +515,6 @@ class _Search:
         if len(path) > 1:
             self._put_corner(v, fid, path[-2], y)
         path.append(y)
-        self.fvset[fid].add(y)
         self.journal.append((0, fid))
         if len(path) == self.fsize[fid]:
             return self._close_face(fid)
@@ -543,8 +525,6 @@ class _Search:
         deferred face pairs and the size supply are checked on the closed
         state; the caller unwinds on False."""
         path = self.fpath[fid]
-        self.fclosed[fid] = True
-        self.journal.append((5, fid))
         first, last = path[0], path[-1]
         self._put_edge(last, first, fid)
         self._put_corner(last, fid, path[-2], first)
@@ -578,21 +558,21 @@ class _Search:
                 if not (self._append_ok(fid, y) and self._append_vertex(fid, y, False)):
                     return False
             off += size - 2
-        return bool(self.fan_closed[1])
+        return self.corner_count[1] == self.d
 
     # -- deterministic slot and branching ----------------------------------
     #
-    # Invariant: at most one face is incomplete at any time.  A face is begun
-    # only when every existing face is closed, and it is then extended until
-    # it closes.  Hence when a fan corner of the active vertex is chosen, the
-    # face occupying it in any completion either already exists complete
+    # Invariant: at most one face is incomplete at any time, the last one,
+    # and it is open exactly while its path is shorter than its size.  A face
+    # is begun only when every existing face is closed, and it is then
+    # extended until it closes.  Hence when a fan corner of the active vertex
+    # is chosen, the face occupying it in any completion either already exists complete
     # (then the corner's edge carries two faces and is no free end) or has
     # not been started at all, so "start a new face" covers every extension.
 
     def find_slot(self):
-        nf = len(self.fsize)
-        if nf and not self.fclosed[nf - 1]:
-            fid = nf - 1
+        fid = len(self.fsize) - 1
+        if fid >= 0 and len(self.fpath[fid]) < self.fsize[fid]:
             tail, head = self.extend_candidates(fid)
             path = self.fpath[fid]
             if len(head) < len(tail):
@@ -604,12 +584,12 @@ class _Search:
             return ("extend", fid, self._validate_vertex(path[-1], path[-2], 0, c), tail)
         # activate the open vertex with the fullest fan (ties to the lowest
         # label): nearly-closed fans propagate contradictions soonest
-        fan_closed = self.fan_closed
         cc = self.corner_count
+        d = self.d
         v = 0
         best = -1
         for u in range(1, self.labels_used + 1):
-            if not fan_closed[u] and cc[u] > best:
+            if best < cc[u] < d:
                 v = u
                 best = cc[u]
         if not v:
@@ -622,8 +602,7 @@ class _Search:
         sizes = []
         for s in self.sizes_sorted:
             if self.budget[s] > 0:
-                w = self.size_char[s] + word
-                if w in self.t2 or w in self.r2:
+                if self.size_char[s] + word in self.words:
                     sizes.append(s)
         return ("start", v, best_nbr, sizes)
 
@@ -635,7 +614,7 @@ class _Search:
         from the saturated-neighbour sets of the path's two ends."""
         path = self.fpath[fid]
         last, first = path[-1], path[0]
-        vset = self.fvset[fid]
+        vset = set(path)
         corner_count = self.corner_count
         d = self.d
         labels = [y for y in range(2, self.labels_used + 1)
@@ -677,7 +656,7 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
     if (
         st.labels_used != st.n
         or any(st.budget.values())
-        or not all(st.fclosed)
+        or any(len(p) < s for p, s in zip(st.fpath, st.fsize))
     ):
         stats.rejected_wrong_size += 1
         return False
@@ -701,7 +680,10 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     """Depth-first search from the current state.
 
     ``prefix`` replays recorded candidate indices for the first levels (the
-    subtree addressing used by parallel workers and checkpoints).  When
+    subtree addressing used by parallel workers and checkpoints).  A
+    recorded index that does not exist, or whose step is rejected, raises
+    CorruptCheckpointError: a valid path only records steps that were
+    applied, so the subtree it names would otherwise be lost unseen.  When
     ``split_depth`` is set, subtrees rooted at that depth are appended to
     ``frontier`` instead of being explored.  Returns False when the subtree
     was cut before it was finished: the node quota ran out, or
@@ -761,18 +743,17 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                 for idx, cand in chosen:
                     if cut:
                         break
-                    if arc_ends is not None:
-                        # extend face a by y; b is the fan verdict off the arcs
-                        y = cand[0]
-                        if not (b or y in arc_ends) or not st._append_ok(a, y):
-                            pruned += 1
-                            continue
-                        m = st.mark()
-                        ok = st._append_vertex(a, y, cand[1])
-                    else:
+                    m = None  # the journal mark, once anything is applied
+                    if arc_ends is None:
                         # a new face of size cand at vertex a, next to b
                         m = st.mark()
                         ok = st._start_face(cand, b, a)
+                    elif (b or cand[0] in arc_ends) and st._append_ok(a, cand[0]):
+                        # extend face a by y; b is the fan verdict off the arcs
+                        m = st.mark()
+                        ok = st._append_vertex(a, cand[0], cand[1])
+                    else:
+                        ok = False
                     if ok:
                         if count_nodes:
                             nodes += 1
@@ -782,9 +763,12 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                         if not cut:
                             marks.append(m)
                             break
+                    elif not count_nodes:
+                        raise CorruptCheckpointError("recorded branch is rejected at replay")
                     else:
                         pruned += 1
-                    st.undo_to(m)
+                    if m is not None:
+                        st.undo_to(m)
                 if len(marks) == len(stack):  # a child was applied: search it
                     depth, path = depth + 1, (path + (idx,) if track else path)
                     break

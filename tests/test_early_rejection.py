@@ -12,7 +12,11 @@ applied step.  The walk also holds the kernel's shortcuts against plain
 derivations: the candidate lists against the face paths and corner counts,
 the saturated-neighbour sets against the edge table (after every undo too),
 and the once-per-node fan verdict against the fan test of each candidate
-that ends no arc of the fan.
+that ends no arc of the fan.  At every node it checks the facts the kernel
+reads instead of storing: only the last face can be open, a fan is closed
+exactly when it has d corners, and under the pair prune no two faces share
+two edges.  The oracle reads closedness from path lengths and tests words
+against the type cycle itself, not against the kernel's tables.
 """
 
 import pytest
@@ -30,8 +34,10 @@ class _View:
         self.fid = fid
         self.paths = list(st.fpath)
         self.paths[fid] = path = st.fpath[fid] + [y]
-        self.closed = list(st.fclosed)
+        self.closed = [len(p) == s for p, s in zip(st.fpath, st.fsize)]
         self.closed[fid] = close
+        word = "".join(st.size_char[s] for s in st.cycle)
+        self.cycle2, self.rcycle2 = word * 2, word[::-1] * 2
         self.edges = edges
         self.new_edges = {frozenset(path[-2:])}
         if close:
@@ -51,7 +57,7 @@ class _View:
         return self.st.size_char[self.st.fsize[f]]
 
     def embeds(self, word):
-        return word in self.st.t2 or word in self.st.r2
+        return word in self.cycle2 or word in self.rcycle2
 
     def corners(self, v):
         out = {}
@@ -199,9 +205,9 @@ def _step_ok(st, edges, fid, y):
 
 def _edge_map(st):
     edges = {}
-    for f, p in enumerate(st.fpath):
+    for f, (p, s) in enumerate(zip(st.fpath, st.fsize)):
         k = len(p)
-        for i in range(k if st.fclosed[f] else k - 1):
+        for i in range(k if k == s else k - 1):
             edges.setdefault(frozenset((p[i], p[(i + 1) % k])), []).append(f)
     return edges
 
@@ -214,6 +220,21 @@ def _saturated_ok(st):
             want[a].add(b)
             want[b].add(a)
     return st.saturated == want
+
+
+def _invariants_ok(st):
+    """The facts the kernel reads rather than stores, derived from the face
+    paths and the fans."""
+    if any(len(p) != s for p, s in zip(st.fpath[:-1], st.fsize)):
+        return False  # a face other than the last is open
+    for v in range(1, st.n + 1):
+        if (st.corner_count[v] == st.d) != (st.corner_count[v] > 0 and not st.ends[v]):
+            return False  # a full fan that is open, or a closed one short of d
+    if st.pair_prune:
+        pairs = [tuple(faces) for faces in _edge_map(st).values() if len(faces) == 2]
+        if len(pairs) != len({frozenset(p) for p in pairs}):
+            return False  # two faces share two edges
+    return True
 
 
 def _candidates(st, fid, edges):
@@ -246,10 +267,12 @@ def _candidates(st, fid, edges):
 
 def _walk(st, tally):
     """The search tree of _run, checking every extension candidate, the
-    candidate lists, the per-node fan verdict and the saturated sets."""
+    candidate lists, the per-node fan verdict, the saturated sets and the
+    facts the kernel reads instead of storing."""
     assert _saturated_ok(st)
+    assert _invariants_ok(st), st.snapshot_faces()
     nf = len(st.fsize)
-    if nf and not st.fclosed[-1]:
+    if nf and len(st.fpath[-1]) < st.fsize[-1]:
         assert st.extend_candidates(nf - 1) == _candidates(st, nf - 1, _edge_map(st))
     slot = st.find_slot()
     if slot[0] == "complete":

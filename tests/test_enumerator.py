@@ -9,6 +9,7 @@ import pytest
 from semeq.enumerator import (
     CorruptCheckpointError,
     EnumOptions,
+    _checkpoint_bytes,
     _checkpoint_parse,
     enumerate_maps,
     exists_any,
@@ -167,6 +168,22 @@ def test_checkpoint_subtree_paths_pinned(tmp_path):
     assert pending[0] == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1)
     digest = hashlib.sha256(json.dumps([list(p) for p in pending]).encode()).hexdigest()
     assert digest == "6a2ac1984ca22da6e5ad694448c366747f8943aeda98b46fa02494c7ee1c5aa4"
+
+
+def test_tampered_path_with_rejected_step_refused(tmp_path):
+    # the last index of the first pending path is rewritten to one that
+    # exists at that node but whose step is rejected: the resume must refuse
+    # the checkpoint rather than count the subtree as searched
+    path = str(tmp_path / "ck.bin")
+    enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=1))
+    with open(path, "rb") as fh:
+        header, pending, maps, stats = _checkpoint_parse(fh.read())
+    assert pending[0] == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1)
+    pending[0] = (0, 1, 0, 0, 0, 0, 0, 1, 0, 0)
+    with open(path, "wb") as fh:
+        fh.write(_checkpoint_bytes(header, pending, maps, stats))
+    with pytest.raises(CorruptCheckpointError):
+        enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
 
 
 def test_fresh_first_witness_pinned():

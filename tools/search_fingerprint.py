@@ -10,6 +10,8 @@ canonical scan) should leave every line of this output as it is:
               from 671,918 nodes to more than 2,000,000
   checkpoint  the checkpoint bytes of each of those rows cut at
               node_budget=1000
+  resume      each of those cuts resumed to completion: complete, stats
+              and codes
   witness     the face lists and canonical digests of the fresh_first
               witnesses of the four existence rows
   census      stdout of `semeq census --chi -1 --json`
@@ -18,7 +20,7 @@ Usage: python tools/search_fingerprint.py [CHECKOUT]
 
 CHECKOUT is the repository whose src/ is fingerprinted (default: the one
 this script sits in), so a second checkout can be compared without copying
-the script into it.  Takes about five minutes on 2 CPUs; [3^4,8^1]/24
+the script into it.  Takes about six minutes on 2 CPUs; [3^4,8^1]/24
 dominates.
 """
 
@@ -68,8 +70,8 @@ def rows_section(rows) -> str:
     return _digest(out)
 
 
-def checkpoint_section(rows) -> str:
-    h = hashlib.sha256()
+def checkpoint_and_resume_sections(rows) -> tuple[str, str]:
+    h, resumed = hashlib.sha256(), []
     with tempfile.TemporaryDirectory() as tmp:
         for i, pair in enumerate(rows):
             path = os.path.join(tmp, f"row{i}.ckpt")
@@ -77,7 +79,10 @@ def checkpoint_section(rows) -> str:
                            EnumOptions(checkpoint_path=path, node_budget=1000))
             with open(path, "rb") as fh:
                 h.update(fh.read())
-    return h.hexdigest()
+            r = enumerate_maps(pair.type, pair.n, -1, EnumOptions(checkpoint_path=path))
+            resumed.append([str(pair.type), pair.n, r.complete, r.stats.to_dict(),
+                            [c.hex() for c in r.codes]])
+    return h.hexdigest(), _digest(resumed)
 
 
 def witness_section() -> str:
@@ -98,7 +103,9 @@ def census_section() -> str:
 def main() -> None:
     rows = [p for p in admissible_types(-1) if p.n <= 24]
     print("rows", rows_section(rows), flush=True)
-    print("checkpoint", checkpoint_section(rows), flush=True)
+    checkpoint, resume = checkpoint_and_resume_sections(rows)
+    print("checkpoint", checkpoint, flush=True)
+    print("resume", resume, flush=True)
     print("witness", witness_section(), flush=True)
     print("census", census_section(), flush=True)
 
