@@ -2,7 +2,7 @@
 
 Maps serialize to a plain text format (or JSON) whose face order comes from
 the canonical flag traversal, so two relabelings of the same map produce
-structurally matching files.  Long enumerations write a binary checkpoint of
+structurally matching files.  Long enumerations write a JSON checkpoint of
 the remaining search frontier; an interrupted run resumes from it and ends
 with byte-identical results.
 """

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .census import LONG_RUN_VERTEX_COUNT, analyze_map, census, census_report_json
@@ -34,13 +33,6 @@ from .mapfile import MapFileError, dumps as dump_map, read_map_file
 from .symmetry import automorphism_group, gi_graph, isomorphic
 from .typecalc import FilterOptions, admissible_types, parse_type
 from .transforms import NotPolyhedralError, rectify as rectify_map, truncate as truncate_map
-
-
-def _default_threads() -> int:
-    env = os.environ.get("SEMEQ_THREADS")
-    if env and env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
 
 
 def _int_at_least(low: int):
@@ -245,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, enum=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if enum:
-            p.add_argument("--threads", type=_int_at_least(1), default=_default_threads(),
-                           help="worker processes (or env SEMEQ_THREADS)")
+            p.add_argument("--threads", type=_int_at_least(1), default=1,
+                           help="worker processes")
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint file path (census: PATH.<type>.n<n> per row)")
             p.add_argument("--budget", type=_int_at_least(0), default=None, help="node budget")

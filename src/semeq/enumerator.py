@@ -36,7 +36,6 @@ import contextlib
 import json
 import os
 import random
-import struct
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -55,8 +54,7 @@ __all__ = [
     "exists_any",
 ]
 
-_CKPT_MAGIC = b"SEMQCKPT"
-_CKPT_VERSION = 1
+_CKPT_FORMAT = "semeq-checkpoint/2"
 _SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
 _SAVE_EVERY_S = 1.0  # least seconds between checkpoint rewrites mid-run
 
@@ -66,8 +64,9 @@ class InconsistentParametersError(ValueError):
 
 
 class CorruptCheckpointError(ValueError):
-    """Checkpoint blob has a bad magic, version, or parameter signature, or
-    records a subtree path the search does not have."""
+    """Checkpoint is not a format-2 JSON document of the expected layout, was
+    written for other parameters, holds a face list that does not build into
+    a map, or records a subtree path the search does not have."""
 
 
 @dataclass(frozen=True)
@@ -823,73 +822,52 @@ def _run_path(task) -> tuple:
 
 def _checkpoint_bytes(header: dict, pending: list, collector: dict,
                       stats: EnumerationStats) -> bytes:
-    out = bytearray()
-    out += _CKPT_MAGIC
-    out += struct.pack(">H", _CKPT_VERSION)
-    hdr = json.dumps(header, sort_keys=True).encode()
-    out += struct.pack(">I", len(hdr)) + hdr
-    out += struct.pack(">I", len(pending))
-    for path in pending:
-        out += struct.pack(">H", len(path))
-        for idx in path:
-            out += struct.pack(">H", idx)
-    out += struct.pack(">I", len(collector))
-    for code in sorted(collector):
-        faces = json.dumps([list(f) for f in collector[code]]).encode()
-        out += struct.pack(">I", len(code)) + code
-        out += struct.pack(">I", len(faces)) + faces
-    st = json.dumps(stats.to_dict(), sort_keys=True).encode()
-    out += struct.pack(">I", len(st)) + st
-    return bytes(out)
+    doc = {"format": _CKPT_FORMAT, "header": header, "pending": pending,
+           "maps": [collector[code] for code in sorted(collector)],
+           "stats": stats.to_dict()}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _checkpoint_parse(blob: bytes) -> tuple[dict, list, dict, EnumerationStats]:
-    if len(blob) < 14 or blob[:8] != _CKPT_MAGIC:
-        raise CorruptCheckpointError("bad magic bytes")
-    (version,) = struct.unpack(">H", blob[8:10])
-    if version != _CKPT_VERSION:
-        raise CorruptCheckpointError(f"unsupported checkpoint version {version}")
-    pos = 10
+def _count(x) -> int:
+    if type(x) is not int or x < 0:  # JSON true is a bool, not a count
+        raise CorruptCheckpointError(f"{x!r} is not a non-negative integer")
+    return x
 
-    def take(fmt):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(blob):
-            raise CorruptCheckpointError("truncated checkpoint")
-        vals = struct.unpack(fmt, blob[pos:pos + size])
-        pos += size
-        return vals[0] if len(vals) == 1 else vals
 
-    def take_bytes(ln):
-        nonlocal pos
-        if pos + ln > len(blob):
-            raise CorruptCheckpointError("truncated checkpoint")
-        out = blob[pos:pos + ln]
-        pos += ln
-        return out
+def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
+                      ) -> tuple[dict, list, dict, EnumerationStats]:
+    """Decode a checkpoint; each map's code is recomputed from its faces.
 
+    When ``expected`` is given, the header must equal it, and this is checked
+    before any map is rebuilt."""
+    if blob.startswith(b"SEMQCKPT"):
+        raise CorruptCheckpointError("format-1 checkpoint (magic SEMQCKPT) is no "
+                                     "longer read: start the run afresh")
     try:
-        header = json.loads(take_bytes(take(">I")))
-        pending = []
-        for _ in range(take(">I")):
-            ln = take(">H")
-            pending.append(tuple(take(">H") for _ in range(ln)))
+        doc = json.loads(blob)
+        if doc["format"] != _CKPT_FORMAT:
+            raise CorruptCheckpointError(f"unsupported checkpoint format {doc['format']!r}")
+        header = doc["header"]
+        if expected is not None and header != expected:
+            raise CorruptCheckpointError("checkpoint was written for different parameters")
+        pending = [tuple(_count(i) for i in path) for path in doc["pending"]]
         collector = {}
-        for _ in range(take(">I")):
-            code = bytes(take_bytes(take(">I")))
-            faces = json.loads(take_bytes(take(">I")))
-            collector[code] = tuple(tuple(v) for v in faces)
-        stats_d = json.loads(take_bytes(take(">I")))
-    except (json.JSONDecodeError, struct.error) as exc:
-        raise CorruptCheckpointError(f"undecodable checkpoint: {exc}") from exc
-    stats = EnumerationStats(
-        nodes=stats_d.get("nodes", 0),
-        prunes=stats_d.get("prunes", {}),
-        completions=stats_d.get("completions", 0),
-        rejected_nonpolyhedral=stats_d.get("rejected_nonpolyhedral", 0),
-        rejected_wrong_type=stats_d.get("rejected_wrong_type", 0),
-        rejected_wrong_size=stats_d.get("rejected_wrong_size", 0),
-    )
+        for faces in doc["maps"]:
+            m = build_from_faces(FaceListMap(header["n"], faces))
+            collector.setdefault(canonical_code(m).data, m.faces)
+        st = doc["stats"]
+        stats = EnumerationStats(
+            nodes=_count(st["nodes"]),
+            prunes={k: _count(v) for k, v in st["prunes"].items()},
+            completions=_count(st["completions"]),
+            rejected_nonpolyhedral=_count(st["rejected_nonpolyhedral"]),
+            rejected_wrong_type=_count(st["rejected_wrong_type"]),
+            rejected_wrong_size=_count(st["rejected_wrong_size"]),
+        )
+    except CorruptCheckpointError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
+        raise CorruptCheckpointError(f"undecodable checkpoint: {exc!r}") from exc
     return header, pending, collector, stats
 
 
@@ -954,11 +932,7 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
     header = {"cycle": list(spec.cycle), "n": n, "chi": chi, "pair_prune": pair_prune}
     if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
         with open(opts.checkpoint_path, "rb") as fh:
-            saved_header, queue, saved_maps, saved_stats = _checkpoint_parse(fh.read())
-        if saved_header != header:
-            raise CorruptCheckpointError(
-                "checkpoint was written for different parameters"
-            )
+            _, queue, saved_maps, saved_stats = _checkpoint_parse(fh.read(), header)
         collector.update(saved_maps)
         stats.merge(saved_stats)
     else:

@@ -376,21 +376,14 @@ def link_cycle(m: CombMap, v: int) -> LinkCycle:
 def validate_polyhedral(m: CombMap) -> PolyhedralityReport:
     """Check the polyhedrality conditions and report every violation.
 
-    ok requires: simple edge graph (no loops, no parallel edges), simple face
-    boundaries, any two distinct faces sharing at most one edge and, if not
+    ok requires: any two distinct faces sharing at most one edge and, if not
     an edge, at most one vertex, and every vertex star a disc whose link is a
-    simple cycle.
+    simple cycle.  The builder already guarantees the rest: FaceListMap
+    rejects a face that repeats a vertex, so there are no loops and each
+    link path (a face with v removed) avoids v; edges are keyed by vertex
+    pair, so a doubled pair is an edge-degree error at build time.
     """
     violations: list[tuple[str, tuple]] = []
-    for fi, f in enumerate(m.faces):
-        if len(set(f)) != len(f):
-            violations.append(("repeated-vertex-in-face", (fi,)))
-    for (a, b) in m.edges:
-        if a == b:
-            violations.append(("loop-edge", (a,)))
-    # parallel edges cannot arise here: edges are keyed by vertex pair, so a
-    # doubled pair is rejected at build time as an edge-degree violation
-
     face_sets = [frozenset(f) for f in m.faces]
     face_edges = []
     for f in m.faces:
@@ -414,7 +407,7 @@ def validate_polyhedral(m: CombMap) -> PolyhedralityReport:
                     violations.append(("big-face-intersection", (i, j, "vertices", len(face_sets[i] & face_sets[j]))))
     for v in range(1, m.f0 + 1):
         lk = link_cycle(m, v)
-        if v in lk.boundary or len(set(lk.boundary)) != len(lk.boundary):
+        if len(set(lk.boundary)) != len(lk.boundary):
             violations.append(("non-disc-star", (v,)))
     return PolyhedralityReport(ok=not violations, violations=tuple(violations))
 

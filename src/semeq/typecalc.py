@@ -360,8 +360,11 @@ def _multiset_survivors(d: int, chi: int, opts: FilterOptions) -> list[tuple[int
 def admissible_types(chi: int, opts: FilterOptions | None = None) -> list[AdmissiblePair]:
     """All admissible (n, type) pairs for a surface of Euler characteristic chi.
 
-    Requires chi < 0: the degree bound d <= 6 comes from (d-6)*n <= -6*chi
-    together with n >= 7, which fails for chi >= 0.  Only size multisets that
+    Requires chi < 0.  Degrees 3..6 are tried, which is complete for
+    chi = -1 only: there (d-6)*n <= -6*chi with n >= 7 gives d <= 6.  From
+    chi = -2 on the same bound admits d = 7 and beyond, so the lists for
+    chi <= -2 lack every pair of degree 7 or more, (12, [3^7]) on chi = -2
+    among them (the degree gap in ROADMAP.md).  Only size multisets that
     pass the order-free filters are arranged.  Results are sorted by
     (degree, n, cycle), one per canonical cycle.
     """

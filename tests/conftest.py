@@ -1,5 +1,8 @@
 """Shared fixtures: small reference maps and cached census enumerations."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from semeq.enumerator import EnumOptions, enumerate_maps
@@ -19,6 +22,15 @@ DOUBLED_TRIANGLE = FaceListMap(3, ((1, 2, 3), (1, 3, 2)))
 BIPYRAMID = FaceListMap(
     5, ((1, 2, 3), (1, 3, 4), (1, 4, 2), (5, 2, 3), (5, 3, 4), (5, 4, 2))
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def checkout_env() -> dict:
+    """The environment for a subprocess that must import this checkout's
+    semeq: its src/ first on PYTHONPATH, ahead of any installed copy."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

