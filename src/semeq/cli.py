@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep types with fewer than 3 faces of some size")
         p.add_argument("--no-closed-star-filter", action="store_true",
                        help="keep types whose closed star exceeds the vertex count")
-        p.add_argument("--min-vertices", type=int, default=7,
+        p.add_argument("--min-vertices", type=_int_at_least(1), default=7,
                        help="minimum vertex count (default 7)")
 
     p = sub.add_parser("classify", help="admissible (n, type) pairs")

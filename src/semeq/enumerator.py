@@ -535,29 +535,27 @@ class _Search:
 
     # -- seeding -----------------------------------------------------------
 
-    def seed(self) -> bool:
+    def seed(self) -> None:
         """Fix the closed star of vertex 1: fan = the type cycle in order,
-        boundary labels 2.. in rotation order."""
+        boundary labels 2.. in rotation order.  Decides no rule: once
+        _diagnostic passes, n >= closed star >= q + 1 for every size q, so
+        the star's labels are distinct and x_q = n*m_q/q > m_q.  A rejected
+        step is a fault of the kernel, and raises."""
         star = 1 + sum(c - 2 for c in self.cycle)
-        if star > self.n:
-            return False
         ring = list(range(2, star + 1))
         m = len(ring)
         self.labels_used = star
         off = 0
         for size in self.cycle:
-            if self.budget[size] <= 0:
-                return False
-            first = ring[off % m]
-            if not self._start_face(size, 1, first):
-                return False
+            ok = self._start_face(size, 1, ring[off % m])
             fid = len(self.fsize) - 1
             for j in range(1, size - 1):
                 y = ring[(off + j) % m]
-                if not (self._append_ok(fid, y) and self._append_vertex(fid, y, False)):
-                    return False
+                ok = ok and self._append_ok(fid, y) and self._append_vertex(fid, y, False)
+            if not ok:
+                raise RuntimeError(f"root star step of a {size}-gon rejected for type "
+                                   f"{self.cycle} with n={self.n}")
             off += size - 2
-        return self.corner_count[1] == self.d
 
     # -- deterministic slot and branching ----------------------------------
     #
@@ -642,15 +640,13 @@ class _Search:
                 head = []
         return tail, head
 
-    def snapshot_faces(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(p) for p in self.fpath)
-
 
 # -- DFS driver -------------------------------------------------------------
 
 
 def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
-    """Collect the completed state if it is a polyhedral map of the type."""
+    """Collect the completed state if it is a polyhedral map of the type,
+    as the CombMap validated and scanned here."""
     stats.completions += 1
     if (
         st.labels_used != st.n
@@ -659,8 +655,7 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
     ):
         stats.rejected_wrong_size += 1
         return False
-    faces = st.snapshot_faces()
-    m = build_from_faces(FaceListMap(st.n, faces))
+    m = build_from_faces(FaceListMap(st.n, st.fpath))
     if not validate_polyhedral(m).ok:
         stats.rejected_nonpolyhedral += 1
         return False
@@ -668,7 +663,7 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
     if t is None or t.cycle != st.cycle:
         stats.rejected_wrong_type += 1
         return False
-    collector[canonical_code(m).data] = faces
+    collector[canonical_code(m).data] = m
     return True
 
 
@@ -785,9 +780,10 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
 
 
 def _fresh_search(cycle: tuple[int, ...], n: int, budgets: dict[int, int],
-                  pair_prune: bool, fresh_first: bool = False) -> Optional[_Search]:
+                  pair_prune: bool, fresh_first: bool = False) -> _Search:
     st = _Search(cycle, n, budgets, pair_prune, fresh_first)
-    return st if st.seed() else None
+    st.seed()
+    return st
 
 
 def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> list:
@@ -823,7 +819,7 @@ def _run_path(task) -> tuple:
 def _checkpoint_bytes(header: dict, pending: list, collector: dict,
                       stats: EnumerationStats) -> bytes:
     doc = {"format": _CKPT_FORMAT, "header": header, "pending": pending,
-           "maps": [collector[code] for code in sorted(collector)],
+           "maps": [collector[code].faces for code in sorted(collector)],
            "stats": stats.to_dict()}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
@@ -836,7 +832,7 @@ def _count(x) -> int:
 
 def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
                       ) -> tuple[dict, list, dict, EnumerationStats]:
-    """Decode a checkpoint; each map's code is recomputed from its faces.
+    """Decode a checkpoint; each map is rebuilt and its code recomputed.
 
     When ``expected`` is given, the header must equal it, and this is checked
     before any map is rebuilt."""
@@ -854,7 +850,7 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
         collector = {}
         for faces in doc["maps"]:
             m = build_from_faces(FaceListMap(header["n"], faces))
-            collector.setdefault(canonical_code(m).data, m.faces)
+            collector.setdefault(canonical_code(m).data, m)
         st = doc["stats"]
         stats = EnumerationStats(
             nodes=_count(st["nodes"]),
@@ -891,7 +887,9 @@ def _normalize_type(t) -> VertexTypeSpec:
 
 
 def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
-    """Why no map of this type with n vertices can exist on chi, or None."""
+    """Why no map of this type with n vertices can exist on chi, or None:
+    the one place a search decides the order-free rules.  When it returns
+    None the root star assembles (see _Search.seed)."""
     d = spec.degree
     if (n * d) % 2:
         return f"n*d = {n}*{d} is odd, so the edge count n*d/2 is not an integer"
@@ -909,7 +907,7 @@ def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
 
 def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
            collector: dict, stats: EnumerationStats,
-           first_only: bool = False) -> Optional[bool]:
+           first_only: bool = False) -> bool:
     """The one search loop: a queue of subtree paths, one task each, run by
     opts.threads executors, in-process when there is one.
 
@@ -923,8 +921,8 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
     pending.  The checkpoint is written once more at the end.  It covers
     finished subtrees only: the maps and counts of the cut path reach
     collector and stats after the last save, so a resumed run counts each
-    node once.  Returns whether the whole tree was searched, or None when
-    the root star cannot be assembled.
+    node once.  Returns whether the whole tree was searched.  The caller
+    has run _diagnostic, so every task's root star assembles.
     """
     split = opts.threads > 1 or opts.checkpoint_path is not None
     pair_prune = not opts.disable_pair_prune
@@ -936,10 +934,7 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
         collector.update(saved_maps)
         stats.merge(saved_stats)
     else:
-        st = _fresh_search(*params)
-        if st is None:
-            return None
-        queue = _expand_frontier(st, collector, stats) if split else [()]
+        queue = _expand_frontier(_fresh_search(*params), collector, stats) if split else [()]
     quota = opts.node_budget
     if quota is not None and split:
         quota = max(1, quota // max(1, len(queue)))
@@ -976,9 +971,11 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     """All polyhedral semi-equivelar maps of the given type with n vertices,
     one representative per isomorphism class, sorted by canonical code.
 
-    The parameters must satisfy the exact Euler arithmetic; otherwise the
-    result is empty, complete, and carries a diagnostic (no such map can
-    exist).  complete=False only when a node budget was exhausted.
+    The parameters must pass _diagnostic, where the rules decided before
+    any search live; otherwise the result is empty, complete, and carries
+    the diagnostic (no such map can exist).  complete=False only when a node
+    budget was exhausted.  The maps are those the search validated, with
+    their canonical scan cached.
     """
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
@@ -991,11 +988,9 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     diagnostic = _diagnostic(spec, n, chi)
     if diagnostic is None:
         complete = _drive(spec, n, chi, opts, collector, stats)
-        if complete is None:
-            complete, diagnostic = True, "root star cannot be assembled"
     stats.wall_seconds = time.perf_counter() - t_start
     codes = tuple(sorted(collector))
-    maps = tuple(build_from_faces(FaceListMap(n, collector[c])) for c in codes)
+    maps = tuple(collector[c] for c in codes)
     return EnumerationResult(maps=maps, codes=codes, stats=stats,
                              complete=complete, diagnostic=diagnostic)
 
@@ -1012,6 +1007,4 @@ def exists_any(t, n: int, chi: int, opts: EnumOptions | None = None) -> Optional
     if _diagnostic(spec, n, chi) is None:
         _drive(spec, n, chi, replace(opts, threads=1, checkpoint_path=None),
                collector, EnumerationStats(), first_only=True)
-    if not collector:
-        return None
-    return build_from_faces(FaceListMap(n, collector[min(collector)]))
+    return collector[min(collector)] if collector else None

@@ -29,41 +29,39 @@ class MapFileError(ValueError):
 
 
 def loads(text: str) -> FaceListMap:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MapFileError(f"bad JSON map file: {exc}") from exc
         try:
             n = int(doc["vertices"])
-            faces = tuple(tuple(int(v) for v in f) for f in doc["faces"])
+            faces = [tuple(int(v) for v in f) for f in doc["faces"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise MapFileError(f"JSON map file missing fields: {exc}") from exc
-        return FaceListMap(vertex_count=n, faces=faces)
-
-    n = None
-    faces = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertices":
-            if n is not None:
-                raise MapFileError(f"line {lineno}: duplicate vertices line")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise MapFileError(f"line {lineno}: expected 'vertices N'")
-            n = int(parts[1])
-        elif parts[0] == "face":
-            try:
-                faces.append(tuple(int(v) for v in parts[1:]))
-            except ValueError as exc:
-                raise MapFileError(f"line {lineno}: bad face labels") from exc
-        else:
-            raise MapFileError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if n is None:
-        raise MapFileError("missing 'vertices N' line")
+    else:
+        n = None
+        faces = []
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "vertices":
+                if n is not None:
+                    raise MapFileError(f"line {lineno}: duplicate vertices line")
+                if len(parts) != 2 or not parts[1].isdigit():
+                    raise MapFileError(f"line {lineno}: expected 'vertices N'")
+                n = int(parts[1])
+            elif parts[0] == "face":
+                try:
+                    faces.append(tuple(int(v) for v in parts[1:]))
+                except ValueError as exc:
+                    raise MapFileError(f"line {lineno}: bad face labels") from exc
+            else:
+                raise MapFileError(f"line {lineno}: unknown directive {parts[0]!r}")
+        if n is None:
+            raise MapFileError("missing 'vertices N' line")
     try:
         return FaceListMap(vertex_count=n, faces=tuple(faces))
     except MapBuildError as exc:

@@ -10,10 +10,12 @@ because every count in sight is a linear function of the vertex count:
 
 where d is the common vertex degree, m_q the multiplicity of size q in the
 type, and x_q the number of q-gonal faces.  Only the parity rules depend on
-the cyclic order of the sizes, so admissible_types first filters size
-multisets in scaled integers (Euler window, integral n and x_q, closed star)
-and arranges and parity-checks only the survivors, ruling most (n, type)
-candidates out before any search is attempted.
+the cyclic order of the sizes, and each rule is decided in one place:
+_multiset_survivors decides the order-free ones (integral n and x_q, their
+lower bounds, the closed star) once per size multiset, in scaled integers,
+and admissible_types puts each arrangement of a survivor through the parity
+rules only, ruling most (n, type) candidates out before any search is
+attempted.
 """
 
 from __future__ import annotations
@@ -266,15 +268,20 @@ class FilterOptions:
     ``min_face_count`` is the lower bound demanded of every x_q (the census
     arithmetic uses 3; set to 1 to keep every integral solution).
     ``closed_star`` rejects types whose closed star exceeds the vertex count,
-    allowing equality only in the complete-graph situation d = n - 1.
-    ``p_max`` caps face sizes explored when the other filters are relaxed.
+    allowing equality only in the complete-graph situation d = n - 1.  These
+    two and ``min_vertices`` are decided per size multiset; ``prop1``, the
+    parity rules, per arrangement.
     """
 
     prop1: bool = True
     min_vertices: int = 7
     min_face_count: int = 3
     closed_star: bool = True
-    p_max: int = 100
+
+
+# largest face size tried; it bounds the search only when min_vertices is
+# so small that the Euler window floor never stops the growth of p
+_P_MAX = 100
 
 
 @dataclass(frozen=True)
@@ -292,53 +299,36 @@ class AdmissiblePair:
         return int(val)
 
 
-def _passes(t: VertexTypeSpec, chi: int, opts: FilterOptions) -> Optional[AdmissiblePair]:
-    n = vertex_count_for(t, chi)
-    if n is None or n < opts.min_vertices:
-        return None
-    xs = face_counts(t, n)
-    if xs is None or any(x < opts.min_face_count for x in xs.values()):
-        return None
-    applied = ["euler", "integral-face-counts", f"min-vertices>={opts.min_vertices}"]
-    if opts.prop1:
-        ok, _rule = datta_maity_admissible(t)
-        if not ok:
-            return None
-        applied.append("parity-rules")
-    if opts.closed_star:
-        star = closed_star_size(t)
-        if star > n or (star == n and t.degree != n - 1):
-            return None
-        applied.append("closed-star")
-    return AdmissiblePair(n=n, type=t, face_counts=xs, filters_passed=tuple(applied))
-
-
-def _multiset_survivors(d: int, chi: int, opts: FilterOptions) -> list[tuple[int, ...]]:
-    """Nondecreasing size multisets of length d with n an integer >=
-    min_vertices, every x_q an integer >= min_face_count and (if enabled) a
-    closed star that fits: every filter that ignores the cyclic order.
+def _multiset_survivors(d: int, chi: int, opts: FilterOptions
+                        ) -> list[tuple[tuple[int, ...], int, dict[int, int]]]:
+    """(multiset, n, face_counts) for each nondecreasing size multiset of
+    length d with n an integer >= min_vertices, every x_q an integer >=
+    min_face_count and (if enabled) a closed star that fits: every rule
+    that ignores the cyclic order, each decided here and nowhere else.
 
     Depth-first; the reciprocal sum is a reduced num/den pair, so
     n = 2*chi*den / (2*num - (d-2)*den).  Growing p stops once the sum cannot
     reach the floor (d-2)/2 + chi/min_vertices that n >= min_vertices sets."""
     mv = opts.min_vertices
     lo_num, lo_den = (d - 2) * mv + 2 * chi, 2 * mv
-    out: list[tuple[int, ...]] = []
+    out = []
 
-    def accept(ms: tuple[int, ...], n: int) -> bool:
-        for q in set(ms):
+    def counts(ms: tuple[int, ...], n: int) -> Optional[dict[int, int]]:
+        xs = {}
+        for q in sorted(set(ms)):
             x, rem = divmod(n * ms.count(q), q)
             if rem or x < opts.min_face_count:
-                return False
+                return None
+            xs[q] = x
         if opts.closed_star:
             star = 1 + sum(ms) - 2 * d
             if star > n or (star == n and d != n - 1):
-                return False
-        return True
+                return None
+        return xs
 
     def rec(prefix: tuple[int, ...], start: int, num: int, den: int) -> None:
         r = d - len(prefix)
-        for p in range(start, opts.p_max + 1):
+        for p in range(start, _P_MAX + 1):
             # num/den + r/p < lo_num/lo_den, all denominators positive
             if (num * p + r * den) * lo_den < lo_num * den * p:
                 break
@@ -350,8 +340,10 @@ def _multiset_survivors(d: int, chi: int, opts: FilterOptions) -> list[tuple[int
             div = 2 * snum - (d - 2) * sden
             if div < 0:
                 n, rem = divmod(2 * chi * sden, div)
-                if not rem and n >= mv and accept(prefix + (p,), n):
-                    out.append(prefix + (p,))
+                if not rem and n >= mv:
+                    xs = counts(prefix + (p,), n)
+                    if xs is not None:
+                        out.append((prefix + (p,), n, xs))
 
     rec((), 3, 0, 1)
     return out
@@ -364,20 +356,27 @@ def admissible_types(chi: int, opts: FilterOptions | None = None) -> list[Admiss
     chi = -1 only: there (d-6)*n <= -6*chi with n >= 7 gives d <= 6.  From
     chi = -2 on the same bound admits d = 7 and beyond, so the lists for
     chi <= -2 lack every pair of degree 7 or more, (12, [3^7]) on chi = -2
-    among them (the degree gap in ROADMAP.md).  Only size multisets that
-    pass the order-free filters are arranged.  Results are sorted by
-    (degree, n, cycle), one per canonical cycle.
+    among them (the degree gap in ROADMAP.md).  Only the survivors of
+    _multiset_survivors, which decides every order-free rule, are arranged,
+    and each arrangement is put through the parity rules alone.  Results are
+    sorted by (degree, n, cycle), one per canonical cycle.
     """
     if chi >= 0:
         raise ValueError("admissible_types requires chi < 0 (degree bound d <= 6)")
     opts = opts or FilterOptions()
     if opts.min_vertices < 1:
         raise ValueError(f"min_vertices must be >= 1, got {opts.min_vertices}")
+    applied = ["euler", "integral-face-counts", f"min-vertices>={opts.min_vertices}"]
+    if opts.prop1:
+        applied.append("parity-rules")
+    if opts.closed_star:
+        applied.append("closed-star")
+    passed = tuple(applied)
     found: list[AdmissiblePair] = []
     for d in range(3, 7):
-        for ms in _multiset_survivors(d, chi, opts):
+        for ms, n, xs in _multiset_survivors(d, chi, opts):
             for cyc in {normalize_cycle(p) for p in set(permutations(ms))}:
-                pair = _passes(VertexTypeSpec._of_canonical(cyc), chi, opts)
-                if pair is not None:
-                    found.append(pair)
+                t = VertexTypeSpec._of_canonical(cyc)
+                if not opts.prop1 or datta_maity_admissible(t)[0]:
+                    found.append(AdmissiblePair(n, t, dict(xs), passed))
     return sorted(found, key=lambda a: (a.type.degree, a.n, a.type.cycle))

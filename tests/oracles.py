@@ -4,16 +4,39 @@ from fractions import Fraction
 from itertools import permutations
 
 from semeq.symmetry import _encode
-from semeq.typecalc import AdmissiblePair, FilterOptions, VertexTypeSpec, _passes, normalize_cycle
+from semeq.typecalc import (AdmissiblePair, FilterOptions, VertexTypeSpec, closed_star_size,
+                            datta_maity_admissible, face_counts, normalize_cycle, vertex_count_for)
+
+
+def _admissible_pair(t: VertexTypeSpec, chi: int, opts: FilterOptions):
+    """Every enabled rule on one cyclic type, in Fraction arithmetic; the
+    AdmissiblePair it passes as, or None."""
+    n = vertex_count_for(t, chi)
+    if n is None or n < opts.min_vertices:
+        return None
+    xs = face_counts(t, n)
+    if xs is None or any(x < opts.min_face_count for x in xs.values()):
+        return None
+    applied = ["euler", "integral-face-counts", f"min-vertices>={opts.min_vertices}"]
+    if opts.prop1:
+        if not datta_maity_admissible(t)[0]:
+            return None
+        applied.append("parity-rules")
+    if opts.closed_star:
+        star = closed_star_size(t)
+        if star > n or (star == n and t.degree != n - 1):
+            return None
+        applied.append("closed-star")
+    return AdmissiblePair(n=n, type=t, face_counts=xs, filters_passed=tuple(applied))
 
 
 def admissible_types_bruteforce(
     chi: int, opts: FilterOptions | None = None, p_max: int = 100
 ) -> list[AdmissiblePair]:
     """Independent oracle for admissible_types: exhaust every cyclic sequence
-    of degree 3..6 with entries up to p_max through the same per-type
-    predicates, in Fraction arithmetic, with no per-multiset prefilter and
-    no window pruning beyond the feasibility cut."""
+    of degree 3..6 with entries up to p_max through every rule at once
+    (_admissible_pair), with no per-multiset prefilter and no window pruning
+    beyond the feasibility cut."""
     if chi >= 0:
         raise ValueError("requires chi < 0")
     opts = opts or FilterOptions()
@@ -28,7 +51,7 @@ def admissible_types_bruteforce(
                 if acc < Fraction(d, 2) - 1:
                     for cyc in {normalize_cycle(p) for p in set(permutations(prefix))}:
                         if cyc not in found:
-                            pair = _passes(VertexTypeSpec(cyc), chi, opts)
+                            pair = _admissible_pair(VertexTypeSpec(cyc), chi, opts)
                             if pair is not None:
                                 found[cyc] = pair
                 continue

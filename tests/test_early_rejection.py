@@ -270,7 +270,7 @@ def _walk(st, tally):
     candidate lists, the per-node fan verdict, the saturated sets and the
     facts the kernel reads instead of storing."""
     assert _saturated_ok(st)
-    assert _invariants_ok(st), st.snapshot_faces()
+    assert _invariants_ok(st), st.fpath
     nf = len(st.fsize)
     if nf and len(st.fpath[-1]) < st.fsize[-1]:
         assert st.extend_candidates(nf - 1) == _candidates(st, nf - 1, _edge_map(st))
@@ -284,7 +284,7 @@ def _walk(st, tally):
         v, c = path[-1], st.size_char[st.fsize[fid]]
         for y, fresh in cands:
             early = st._append_ok(fid, y)
-            assert early == _step_ok(st, edges, fid, y), (fid, y, st.snapshot_faces())
+            assert early == _step_ok(st, edges, fid, y), (fid, y, st.fpath)
             if y not in st.ends[v]:
                 # the verdict stands for every candidate that ends no arc at v
                 assert fan_ok == st._validate_vertex(v, path[-2], y, c)

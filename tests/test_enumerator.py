@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+from itertools import combinations_with_replacement, permutations
+from math import gcd, lcm
 
 import pytest
 
@@ -11,13 +13,16 @@ from semeq.enumerator import (
     EnumOptions,
     _checkpoint_bytes,
     _checkpoint_parse,
+    _diagnostic,
+    _fresh_search,
+    _Search,
     enumerate_maps,
     exists_any,
 )
 from semeq.mapcore import euler_characteristic, semi_equivelar_type, validate_polyhedral
 from semeq.mapfile import dumps
 from semeq.symmetry import canonical_code, isomorphic
-from semeq.typecalc import parse_type
+from semeq.typecalc import VertexTypeSpec, face_counts, normalize_cycle, parse_type
 
 
 SPHERE_CASES = [
@@ -60,6 +65,47 @@ def test_inconsistent_parameters_diagnosed():
     assert r.complete and not r.maps and "Euler characteristic" in r.diagnostic
     r = enumerate_maps("[3^1,8^1,3^1,8^1]", 12, -1)
     assert r.complete and not r.maps and "closed star" in r.diagnostic
+
+
+def test_rejected_root_star_step_raises(monkeypatch):
+    # the root star always assembles once _diagnostic passes, so a rejected
+    # step is a fault of the kernel: the run must not report a tree it never
+    # searched as complete
+    monkeypatch.setattr(_Search, "_append_ok", lambda self, fid, y: False)
+    with pytest.raises(RuntimeError, match="root star"):
+        enumerate_maps("[3^5,4^1]", 12, -1)
+
+
+def _diagnosed_rows(max_degree, max_size, max_n):
+    """Every (cycle, n, face counts) with degree 3..max_degree, face sizes
+    up to max_size and n < max_n that passes _diagnostic, on the Euler
+    characteristic the pair forces.  Integral edge and face counts need n
+    to be a multiple of the step below, and the closed star needs n >= star."""
+    for d in range(3, max_degree + 1):
+        for ms in combinations_with_replacement(range(3, max_size + 1), d):
+            star = 1 + sum(ms) - 2 * d
+            step = lcm(2 // gcd(2, d), *(q // gcd(q, ms.count(q)) for q in set(ms)))
+            ns = range(-(-star // step) * step, max_n, step)
+            if not ns:
+                continue
+            for cyc in {normalize_cycle(p) for p in set(permutations(ms))}:
+                spec = VertexTypeSpec(cyc)
+                for n in ns:
+                    xs = face_counts(spec, n)
+                    chi = n - n * d // 2 + sum(xs.values())
+                    assert _diagnostic(spec, n, chi) is None
+                    yield cyc, n, xs
+
+
+def test_root_star_assembles_whenever_diagnostic_passes():
+    # _Search.seed decides no rule: with and without the pair prune, every
+    # row that _diagnostic lets through gets its full root star
+    rows = list(_diagnosed_rows(6, 12, 120))
+    assert len(rows) == 47550
+    for cyc, n, xs in rows:
+        for pair_prune in (True, False):
+            st = _fresh_search(cyc, n, xs, pair_prune)
+            assert st.corner_count[1] == st.d, (cyc, n, pair_prune)
 
 
 def test_budget_exhaustion_reports_incomplete():

@@ -63,6 +63,10 @@ def test_loads_errors():
         loads("{bad json")
     with pytest.raises(MapFileError):
         loads("vertices 4\nfface 1 2 3\n")
+    with pytest.raises(MapFileError):
+        loads('{"vertices": 3, "faces": [[1, 2, 2]]}')  # repeated vertex
+    with pytest.raises(MapFileError):
+        loads('{"vertices": 2, "faces": [[1, 2]]}')  # face too short
 
 
 def test_comments_and_whitespace():
@@ -183,6 +187,16 @@ def test_cli_threads_must_be_positive(command):
     proc = run_cli(*command, "--threads", "0")
     assert proc.returncode == 2
     assert "--threads" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--chi", "-1"],
+    ["census", "--chi", "-1"],
+])
+def test_cli_min_vertices_must_be_positive(command):
+    proc = run_cli(*command, "--min-vertices", "0")
+    assert proc.returncode == 2
+    assert "--min-vertices" in proc.stderr
 
 
 @pytest.mark.parametrize("command", [

@@ -3,6 +3,9 @@
 A change that must leave the search tree alone (a faster kernel, a faster
 canonical scan) should leave every line of this output as it is:
 
+  classify    the (n, cycle, face_counts, filters_passed) rows of
+              admissible_types for chi = -1 ... -4 under the default options,
+              min_face_count=1, and prop1=False with closed_star=False
   rows        stats, codes and map files of every admissible row with
               n <= 24, under the default options, disable_pair_prune,
               branch_shuffle_seed=7, node_budget=500 and threads=2;
@@ -41,7 +44,7 @@ sys.path.insert(0, str(SRC))
 from semeq.enumerator import EnumOptions, _checkpoint_parse, enumerate_maps, exists_any  # noqa: E402
 from semeq.mapfile import dumps  # noqa: E402
 from semeq.symmetry import canonical_code  # noqa: E402
-from semeq.typecalc import admissible_types  # noqa: E402
+from semeq.typecalc import FilterOptions, admissible_types  # noqa: E402
 
 OPTION_SETS = {
     "default": {},
@@ -59,6 +62,15 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def classify_section() -> str:
+    out = []
+    for kw in ({}, {"min_face_count": 1}, {"prop1": False, "closed_star": False}):
+        for chi in (-1, -2, -3, -4):
+            out.append([[p.n, p.type.cycle, sorted(p.face_counts.items()), p.filters_passed]
+                        for p in admissible_types(chi, FilterOptions(**kw))])
+    return _digest(out)
+
+
 def rows_section(rows) -> str:
     out = []
     for name, kw in OPTION_SETS.items():
@@ -72,6 +84,11 @@ def rows_section(rows) -> str:
     return _digest(out)
 
 
+def _faces(m):
+    # a checkpoint parsed by an older checkout holds bare face lists
+    return getattr(m, "faces", m)
+
+
 def checkpoint_and_resume_sections(rows) -> tuple[str, str]:
     saved, resumed = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,7 +99,7 @@ def checkpoint_and_resume_sections(rows) -> tuple[str, str]:
             with open(path, "rb") as fh:
                 header, pending, maps, stats = _checkpoint_parse(fh.read())
             saved.append([header, [list(p) for p in pending],
-                          [[c.hex(), maps[c]] for c in sorted(maps)], stats.to_dict()])
+                          [[c.hex(), _faces(maps[c])] for c in sorted(maps)], stats.to_dict()])
             r = enumerate_maps(pair.type, pair.n, -1, EnumOptions(checkpoint_path=path))
             resumed.append([str(pair.type), pair.n, r.complete, r.stats.to_dict(),
                             [c.hex() for c in r.codes]])
@@ -105,6 +122,7 @@ def census_section() -> str:
 
 
 def main() -> None:
+    print("classify", classify_section(), flush=True)
     rows = [p for p in admissible_types(-1) if p.n <= 24]
     print("rows", rows_section(rows), flush=True)
     checkpoint, resume = checkpoint_and_resume_sections(rows)
