@@ -14,13 +14,18 @@ code.
 State is mutated in place with an undo journal.  Each candidate extension
 of the open face is tested before it is applied: the checks are pure
 functions of the state and the candidate, so the many candidates that fail
-cost no journal entries and no undo.  Every vertex fan is kept as a table
-of its open arcs, keyed by end neighbour, each entry holding the arc's other
-end and the word of its face sizes.  A new corner joins at most two arcs, so
-a fan check is a few lookups and one set lookup among the words of the type
-cycle, with no walk around the fan; its verdict for the labels that end no
-arc is the same, so it is taken once per node.  Candidate lists are read
-from sets of saturated neighbours (edges with two faces).  The state stores
+cost no journal entries and no undo.  The open face can grow at either end,
+and a node branches on the end with fewer passing candidates (fail first):
+the end with the shorter raw list is filtered first, and the other end is
+counted only up to that number.  The choice depends on the state alone and
+every completion passes the checks at either end, so the search stays
+exhaustive.  Every vertex fan is kept as a table of its open arcs, keyed by
+end neighbour, each entry holding the arc's other end and the word of its
+face sizes.  A new corner joins at most two arcs, so a fan check is a few
+lookups and one set lookup among the words of the type cycle, with no walk
+around the fan; its verdict for the labels that end no arc is the same, so
+it is taken once per end filtered.  Candidate lists are read from sets of
+saturated neighbours (edges with two faces).  The state stores
 each fact once: whether a face or a fan is closed is read from its path
 length or corner count, not kept beside them.  Every prune is a necessary
 condition (edge used by at most two faces, the polyhedral face-intersection
@@ -54,7 +59,7 @@ __all__ = [
     "exists_any",
 ]
 
-_CKPT_FORMAT = "semeq-checkpoint/2"
+_CKPT_FORMAT = "semeq-checkpoint/3"
 _SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
 _SAVE_EVERY_S = 1.0  # least seconds between checkpoint rewrites mid-run
 
@@ -64,7 +69,7 @@ class InconsistentParametersError(ValueError):
 
 
 class CorruptCheckpointError(ValueError):
-    """Checkpoint is not a format-2 JSON document of the expected layout, was
+    """Checkpoint is not a format-3 JSON document of the expected layout, was
     written for other parameters, holds a face list that does not build into
     a map, or records a subtree path the search does not have."""
 
@@ -83,12 +88,16 @@ class EnumOptions:
     evenly into per-subtree quotas of at least 1 each, and the nodes spent
     building its frontier of subtrees are not charged to the budget, so any
     budget below the number of subtrees acts as a quota of 1.
-    branch_shuffle_seed randomizes candidate order inside each node (testing
-    aid).  fresh_first tries the new-label branch before label reuse:
-    irrelevant for exhaustive counts, but existence searches on large types
-    typically find a witness orders of magnitude sooner with it.  Both
-    branch-order options need an unsplit run, since subtree paths and
-    checkpoints assume the default order.
+    branch_shuffle_seed randomizes the order of each node's children, after
+    the end of the open face is chosen (testing aid).  fresh_first tries the
+    new-label branch before label reuse: irrelevant for exhaustive counts,
+    but existence searches on large types typically find a witness orders
+    of magnitude sooner with it.  Neither
+    changes which end a node branches on, so a finished run visits the same
+    nodes and counts the same prunes.  Both branch-order options need an
+    unsplit run, since subtree paths and checkpoints assume the default
+    order: a path's indices name a node's children, the candidates that
+    passed.
     disable_pair_prune turns off the incremental polyhedral-intersection
     cuts, leaving the final validator to reject those completions (testing
     aid).
@@ -176,10 +185,12 @@ class _Search:
     corner that does not close the cycle.  The multiplicity of a size in
     the type is counted in ``cycle`` when a size runs out.
 
-    find_slot gives the next node
-    as ("extend", fid, fan_ok, labels), ("start", v, x, sizes) or
-    ("complete", None, None, ()); fan_ok is _append_ok's fan verdict at the
-    path's last vertex for every label that ends none of its arcs.
+    find_slot gives the next node as ("extend", fid, rejected, children),
+    ("start", v, x, sizes) or ("complete", None, None, ()).  The children of
+    an extension node are the (label, fresh) candidates that pass _append_ok
+    at the chosen end of the open face, in branching order, with that end
+    turned last in the path (a journaled reversal); rejected counts the
+    candidates of that end that failed.
     """
 
     def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
@@ -381,14 +392,15 @@ class _Search:
         arc = self.ends[y].get(v)
         return arc is None or c + arc[1] in self.words
 
-    def _append_ok(self, fid: int, y: int) -> bool:
+    def _append_ok(self, fid: int, y: int, fan_known: bool = False) -> bool:
         """Whether extending the open face fid by y passes the checks of the
         step that the current state decides: the edge {v, y} (v the path's
         last vertex), the face pairs meeting at y, the fan at v with its new
         corner, and then either the half corner at y or, when the step
         closes the face, the closing edge {y, first} and the fans at y and
         first with their new corners.  Mutates nothing.  The checks that
-        need the closed face run in _close_face once the step is applied."""
+        need the closed face run in _close_face once the step is applied.
+        fan_known says the caller already knows the fan test at v passes."""
         path = self.fpath[fid]
         v = path[-1]
         c = self.size_char[self.fsize[fid]]
@@ -397,7 +409,7 @@ class _Search:
             # a face being begun: v gets the new edge but no corner yet
             if not self._half_corner_ok(v, y, c):
                 return False
-        elif not self._validate_vertex(v, path[-2], y, c):
+        elif not fan_known and not self._validate_vertex(v, path[-2], y, c):
             return False
         if not self._edge_ok(v, y, c):
             return False
@@ -570,15 +582,30 @@ class _Search:
     def find_slot(self):
         fid = len(self.fsize) - 1
         if fid >= 0 and len(self.fpath[fid]) < self.fsize[fid]:
-            tail, head = self.extend_candidates(fid)
+            # near: the candidates at the end that is last in the path
+            near, far = self.extend_candidates(fid)
             path = self.fpath[fid]
-            if len(head) < len(tail):
+            # the end with the shorter raw list is filtered first; the other
+            # end is taken only when fewer of its candidates pass (fail
+            # first).  A closing step lays both edges, so its verdicts are
+            # the same at either end.  _passing reads the end being filtered
+            # as the path's last, so the path is reversed in place to read
+            # the other end, and the reversal is journaled when it stays.
+            flipped = len(far) < len(near)
+            if flipped:
                 path.reverse()
+                near, far = far, near
+            kids = self._passing(fid, near, len(near))
+            if kids and len(path) + 1 < self.fsize[fid]:
+                path.reverse()
+                other = self._passing(fid, far, len(kids))
+                if len(other) < len(kids):
+                    flipped, near, kids = not flipped, far, other
+                else:
+                    path.reverse()
+            if flipped:
                 self.journal.append((7, fid))
-                tail = head
-            # the fan verdict for every y that ends no arc: 0 is no label
-            c = self.size_char[self.fsize[fid]]
-            return ("extend", fid, self._validate_vertex(path[-1], path[-2], 0, c), tail)
+            return ("extend", fid, len(near) - len(kids), kids)
         # activate the open vertex with the fullest fan (ties to the lowest
         # label): nearly-closed fans propagate contradictions soonest
         cc = self.corner_count
@@ -602,6 +629,26 @@ class _Search:
                 if self.size_char[s] + word in self.words:
                     sizes.append(s)
         return ("start", v, best_nbr, sizes)
+
+    def _passing(self, fid: int, cands: list, limit: int) -> list:
+        """The candidates (label, fresh) that pass _append_ok as extensions
+        of the open face fid after its path's last vertex v, in their order,
+        stopping once limit of them pass.  The fan test at v has the same
+        verdict for every label that ends none of v's arcs, so it is taken
+        once here for all of them."""
+        path = self.fpath[fid]
+        v = path[-1]
+        ends = self.ends[v]
+        # 0 is no label, so it ends no arc
+        off_arc = self._validate_vertex(v, path[-2], 0, self.size_char[self.fsize[fid]])
+        out = []
+        for cand in cands:
+            known = cand[0] not in ends
+            if (off_arc or not known) and self._append_ok(fid, cand[0], known):
+                out.append(cand)
+                if len(out) == limit:
+                    break
+        return out
 
     def extend_candidates(self, fid: int) -> tuple[list, list]:
         """Labels that may extend the open face fid at its tail (after the
@@ -673,7 +720,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
          frontier: Optional[list] = None, first_only: bool = False) -> bool:
     """Depth-first search from the current state.
 
-    ``prefix`` replays recorded candidate indices for the first levels (the
+    ``prefix`` replays recorded child indices for the first levels (the
     subtree addressing used by parallel workers and checkpoints).  A
     recorded index that does not exist, or whose step is rejected, raises
     CorruptCheckpointError: a valid path only records steps that were
@@ -683,11 +730,13 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     was cut before it was finished: the node quota ran out, or
     ``first_only`` collected a map.
 
-    An extension candidate is tested before anything is applied, so a
-    rejected one costs no journal entries; a closing step that passes still
+    find_slot filters an extension node's candidates: each candidate of the
+    chosen end that fails _append_ok counts one ``constraint`` prune when
+    the node is opened (a replayed node counts none), and the children, the
+    candidates that passed, are applied untested.  A closing step still
     checks the closed face once applied, and a new face is applied before
-    it is checked, both unwound when they fail.  Either way a rejected
-    candidate counts as one ``constraint`` prune.
+    it is checked; each step rejected there, and unwound, counts one
+    ``constraint`` prune more.
 
     A loop over a stack, not a recursion: CPython allocates and frees a
     frame chunk on each call that crosses a chunk boundary, so under
@@ -697,9 +746,9 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     pruned = 0
     cut = False
     track = split_depth is not None
-    # open nodes, root first: (depth, path, candidates left, count_nodes,
-    # a, b of the slot, arc ends at the path's end or None at a new face);
-    # marks[i]: the journal mark before open node i's current child
+    # open nodes, root first: (depth, path, children left, count_nodes,
+    # a, b of the slot, whether it starts a new face); marks[i]: the
+    # journal mark before open node i's current child
     stack: list[tuple] = []
     marks: list[int] = []
     depth, path = 0, ()
@@ -715,6 +764,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                 if marks:
                     st.undo_to(marks.pop())
             else:
+                start = kind == "start"
                 if depth < len(prefix):
                     idx = prefix[depth]
                     if idx >= len(cands):
@@ -728,26 +778,23 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                         rng.shuffle(cands)
                     chosen = enumerate(cands)
                     count_nodes = True
-                arc_ends = st.ends[st.fpath[a][-1]] if kind == "extend" else None
-                stack.append((depth, path, chosen, count_nodes, a, b, arc_ends))
+                    if not start:
+                        pruned += b  # the candidates find_slot rejected
+                stack.append((depth, path, chosen, count_nodes, a, b, start))
             # apply the next child of the deepest open node, closing the
             # nodes that have none left
             while stack:
-                depth, path, chosen, count_nodes, a, b, arc_ends = stack[-1]
+                depth, path, chosen, count_nodes, a, b, start = stack[-1]
                 for idx, cand in chosen:
                     if cut:
                         break
-                    m = None  # the journal mark, once anything is applied
-                    if arc_ends is None:
+                    m = st.mark()
+                    if start:
                         # a new face of size cand at vertex a, next to b
-                        m = st.mark()
                         ok = st._start_face(cand, b, a)
-                    elif (b or cand[0] in arc_ends) and st._append_ok(a, cand[0]):
-                        # extend face a by y; b is the fan verdict off the arcs
-                        m = st.mark()
-                        ok = st._append_vertex(a, cand[0], cand[1])
                     else:
-                        ok = False
+                        # extend face a by the label cand[0]
+                        ok = st._append_vertex(a, cand[0], cand[1])
                     if ok:
                         if count_nodes:
                             nodes += 1
@@ -761,8 +808,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                         raise CorruptCheckpointError("recorded branch is rejected at replay")
                     else:
                         pruned += 1
-                    if m is not None:
-                        st.undo_to(m)
+                    st.undo_to(m)
                 if len(marks) == len(stack):  # a child was applied: search it
                     depth, path = depth + 1, (path + (idx,) if track else path)
                     break
@@ -841,6 +887,10 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
                                      "longer read: start the run afresh")
     try:
         doc = json.loads(blob)
+        if doc["format"] == "semeq-checkpoint/2":
+            # its paths index raw candidate lists, not the passing children
+            raise CorruptCheckpointError("format-2 checkpoint is no longer read: "
+                                         "start the run afresh")
         if doc["format"] != _CKPT_FORMAT:
             raise CorruptCheckpointError(f"unsupported checkpoint format {doc['format']!r}")
         header = doc["header"]

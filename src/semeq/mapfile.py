@@ -3,7 +3,9 @@
 Text format: optional ``#`` comment lines, one ``vertices N`` line, then one
 ``face v1 v2 ... vk`` line per face with 1-based whitespace-separated labels.
 A file whose first non-blank byte is ``{`` is parsed instead as a JSON
-document ``{"vertices": N, "faces": [[...], ...]}``.
+document ``{"vertices": N, "faces": [[...], ...]}``, whose count and labels
+must be JSON integers: ``4.9``, ``3.0``, ``true`` or ``"4"`` are refused, not
+converted.
 
 The writer emits faces in canonical-traversal order: the order in which the
 map's cached canonical traversal (``symmetry.canonical_order``, the flag
@@ -28,6 +30,13 @@ class MapFileError(ValueError):
     """Unparseable map file."""
 
 
+def _json_int(x) -> int:
+    # a JSON number with a fraction, or true/false, is no count or label
+    if type(x) is not int:
+        raise MapFileError(f"JSON map file holds {x!r} where an integer belongs")
+    return x
+
+
 def loads(text: str) -> FaceListMap:
     if text.lstrip().startswith("{"):
         try:
@@ -35,9 +44,9 @@ def loads(text: str) -> FaceListMap:
         except json.JSONDecodeError as exc:
             raise MapFileError(f"bad JSON map file: {exc}") from exc
         try:
-            n = int(doc["vertices"])
-            faces = [tuple(int(v) for v in f) for f in doc["faces"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            n = _json_int(doc["vertices"])
+            faces = [tuple(_json_int(v) for v in f) for f in doc["faces"]]
+        except (KeyError, TypeError) as exc:
             raise MapFileError(f"JSON map file missing fields: {exc}") from exc
     else:
         n = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 from math import gcd
 from typing import Iterable, Optional
 
@@ -279,11 +279,6 @@ class FilterOptions:
     closed_star: bool = True
 
 
-# largest face size tried; it bounds the search only when min_vertices is
-# so small that the Euler window floor never stops the growth of p
-_P_MAX = 100
-
-
 @dataclass(frozen=True)
 class AdmissiblePair:
     """An (n, type) candidate surviving all enabled filters."""
@@ -308,9 +303,16 @@ def _multiset_survivors(d: int, chi: int, opts: FilterOptions
 
     Depth-first; the reciprocal sum is a reduced num/den pair, so
     n = 2*chi*den / (2*num - (d-2)*den).  Growing p stops once the sum cannot
-    reach the floor (d-2)/2 + chi/min_vertices that n >= min_vertices sets."""
+    reach the floor (d-2)/2 + chi/min_vertices that n >= min_vertices sets,
+    or once n is bounded below more than above.  With the r sizes still to
+    come all at least p, the sum is at most num/den + r/p, which bounds n
+    above; below, n >= x*p/d for the largest size, whose count x is at
+    least max(min_face_count, 1), and n >= the closed star when that rule
+    is on.  The lower bounds grow with p and the upper one falls, so the
+    first p that fails them ends the loop."""
     mv = opts.min_vertices
     lo_num, lo_den = (d - 2) * mv + 2 * chi, 2 * mv
+    min_x = max(opts.min_face_count, 1)
     out = []
 
     def counts(ms: tuple[int, ...], n: int) -> Optional[dict[int, int]]:
@@ -328,9 +330,20 @@ def _multiset_survivors(d: int, chi: int, opts: FilterOptions
 
     def rec(prefix: tuple[int, ...], start: int, num: int, den: int) -> None:
         r = d - len(prefix)
-        for p in range(start, _P_MAX + 1):
+        # 2*den times (d-2)/2 - num/den: at most 0, and every completion has
+        # a sum above (d-2)/2, so no positive n
+        gap = (d - 2) * den - 2 * num
+        if gap <= 0:
+            return
+        star = 1 + sum(prefix) - 2 * len(prefix)  # without the r sizes to come
+        for p in count(start):
             # num/den + r/p < lo_num/lo_den, all denominators positive
             if (num * p + r * den) * lo_den < lo_num * den * p:
+                break
+            # n <= 2*(-chi)*den*p / room once room > 0
+            room = gap * p - 2 * r * den
+            if room > 0 and (min_x * room > -2 * chi * den * d or opts.closed_star
+                             and (star + r * (p - 2)) * room > -2 * chi * den * p):
                 break
             snum, sden = num * p + den, den * p
             if r > 1:

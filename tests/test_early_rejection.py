@@ -1,21 +1,24 @@
 """Early rejection in the search kernel is exact.
 
 The search tests each extension candidate with ``_Search._append_ok`` before
-it applies anything, using the arc-end tables of the vertex fans.  These
-tests walk whole search trees and hold every extension candidate against an
-oracle that appends the vertex to a copy of the face paths and re-derives,
-from the paths alone, each check the step made when it was applied before
-being checked: edge loads, adjacent-size words, the face-pair intersection
-rules and, corner by corner, the fans that get a new corner.  Only the checks
-that need the closed face (deferred face pairs, size supply) are left to the
-applied step.  The walk also holds the kernel's shortcuts against plain
-derivations: the candidate lists against the face paths and corner counts,
-the saturated-neighbour sets against the edge table (after every undo too),
-and the once-per-node fan verdict against the fan test of each candidate
-that ends no arc of the fan.  At every node it checks the facts the kernel
-reads instead of storing: only the last face can be open, a fan is closed
-exactly when it has d corners, and under the pair prune no two faces share
-two edges.  The oracle reads closedness from path lengths and tests words
+it applies anything, using the arc-end tables of the vertex fans, and an
+extension node keeps only the candidates that pass, from the end of the
+open face that has fewer of them.  These tests walk whole search trees and
+hold every candidate at both ends against an oracle that appends the vertex
+to a copy of the face paths and re-derives, from the paths alone, each check
+the step made when it was applied before being checked: edge loads,
+adjacent-size words, the face-pair intersection rules and, corner by
+corner, the fans that get a new corner.  Only the checks that need the
+closed face (deferred face pairs, size supply) are left to the applied step.
+The walk also holds the kernel's shortcuts against plain derivations: the
+children of each node against the passing candidates of both ends, the
+candidate lists against the face paths and corner counts, the
+saturated-neighbour sets against the edge table (after every undo too), and
+the once-per-end fan verdict against the fan test of each candidate that
+ends no arc of the fan.  At every node it checks the facts the kernel reads
+instead of storing: only the last face can be open, a fan is closed exactly
+when it has d corners, and under the pair prune no two faces share two
+edges.  The oracle reads closedness from path lengths and tests words
 against the type cycle itself, not against the kernel's tables.
 """
 
@@ -265,35 +268,69 @@ def _candidates(st, fid, edges):
     return tail, head
 
 
+def _passing(st, edges, fid, cands, at_head):
+    """The candidates of one end of the open face that pass _append_ok, each
+    verdict held against the oracle; the head is read by reversing the path
+    for the duration, as find_slot does."""
+    path = st.fpath[fid]
+    if at_head:
+        path.reverse()
+    v, c = path[-1], st.size_char[st.fsize[fid]]
+    off_arc = st._validate_vertex(v, path[-2], 0, c)
+    out = []
+    for y, fresh in cands:
+        ok = st._append_ok(fid, y)
+        assert ok == _step_ok(st, edges, fid, y), (fid, y, st.fpath)
+        if y not in st.ends[v]:
+            # one verdict stands for every candidate that ends no arc at v
+            assert off_arc == st._validate_vertex(v, path[-2], y, c)
+            assert ok == (off_arc and st._append_ok(fid, y, True))
+        if ok:
+            out.append((y, fresh))
+    if at_head:
+        path.reverse()
+    return out
+
+
 def _walk(st, tally):
-    """The search tree of _run, checking every extension candidate, the
-    candidate lists, the per-node fan verdict, the saturated sets and the
-    facts the kernel reads instead of storing."""
+    """The search tree of _run, checking every candidate at both ends of the
+    open face, the children find_slot keeps, the candidate lists, the
+    saturated sets and the facts the kernel reads instead of storing."""
     assert _saturated_ok(st)
     assert _invariants_ok(st), st.fpath
     nf = len(st.fsize)
-    if nf and len(st.fpath[-1]) < st.fsize[-1]:
-        assert st.extend_candidates(nf - 1) == _candidates(st, nf - 1, _edge_map(st))
+    extending = nf > 0 and len(st.fpath[-1]) < st.fsize[-1]
+    if extending:
+        fid = nf - 1
+        edges = _edge_map(st)
+        raw = st.extend_candidates(fid)
+        assert raw == _candidates(st, fid, edges)
+        passing = [_passing(st, edges, fid, cands, at_head) for at_head, cands in enumerate(raw)]
+        before = list(st.fpath[fid])
+        closing = len(before) + 1 == st.fsize[fid]
+        if closing and raw[0] and raw[1]:
+            # a closing step lays both edges: the same verdicts at either end
+            assert set(passing[0]) == set(passing[1]), st.fpath
     slot = st.find_slot()
     if slot[0] == "complete":
         return
     if slot[0] == "extend":
-        _, fid, fan_ok, cands = slot
-        edges = _edge_map(st)
-        path = st.fpath[fid]
-        v, c = path[-1], st.size_char[st.fsize[fid]]
-        for y, fresh in cands:
-            early = st._append_ok(fid, y)
-            assert early == _step_ok(st, edges, fid, y), (fid, y, st.fpath)
-            if y not in st.ends[v]:
-                # the verdict stands for every candidate that ends no arc at v
-                assert fan_ok == st._validate_vertex(v, path[-2], y, c)
-                if not fan_ok:
-                    assert not early
-                    tally["off_arc"] += 1
-            if not early:
-                tally["early"] += 1
-                continue
+        _, fid, rejected, kids = slot
+        chosen = int(st.fpath[fid] != before)  # 1 when find_slot reversed the path
+        first = int(len(raw[1]) < len(raw[0]))
+        # the children are the passing candidates of the chosen end, in order
+        assert kids == passing[chosen], st.fpath
+        assert rejected == len(raw[chosen]) - len(kids)
+        # the other end never has strictly fewer passing candidates
+        assert len(passing[1 - chosen]) >= len(kids), st.fpath
+        if closing or not passing[first]:
+            # closing nodes, and dead ends, keep the shorter raw list
+            assert chosen == first, st.fpath
+        elif len(passing[1 - first]) == len(passing[first]):
+            assert chosen == first, st.fpath  # a tie keeps the first end
+        tally["early"] += rejected
+        tally["switched"] += chosen != first
+        for y, fresh in kids:
             m = st.mark()
             if st._append_vertex(fid, y, fresh):
                 tally["nodes"] += 1
@@ -329,10 +366,10 @@ ROWS = [
 def test_early_rejection_matches_full_step(tstr, n, chi, pair_prune):
     spec = parse_type(tstr)
     st = _fresh_search(spec.cycle, n, face_counts(spec, n), pair_prune)
-    tally = {"nodes": 0, "early": 0, "late": 0, "off_arc": 0}
+    tally = {"nodes": 0, "early": 0, "late": 0, "switched": 0}
     _walk(st, tally)
     stats = enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=not pair_prune)).stats
     assert tally["nodes"] == stats.nodes
     assert tally["early"] + tally["late"] == stats.prunes.get("constraint", 0)
     if stats.nodes > 1000:
-        assert tally["early"] > 0 and tally["late"] > 0 and tally["off_arc"] > 0
+        assert tally["early"] > 0 and tally["late"] > 0 and tally["switched"] > 0

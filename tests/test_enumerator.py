@@ -192,12 +192,23 @@ def test_format1_checkpoint_rejected(tmp_path):
         enumerate_maps("[3^3]", 4, 2, EnumOptions(checkpoint_path=str(path)))
 
 
+def test_format2_checkpoint_rejected(tmp_path, complete_checkpoint):
+    # a format-2 path indexes the raw candidate lists, not the passing
+    # children, so replaying it would search other subtrees than it names
+    path = tmp_path / "ck.json"
+    doc = {**complete_checkpoint, "format": "semeq-checkpoint/2",
+           "pending": [[0, 1, 0, 0, 0, 0, 0, 1, 0, 1]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptCheckpointError, match="format-2.*start the run afresh"):
+        enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
+
+
 # each edit of a finished checkpoint, and the message its resume must give
 MALFORMED = {
     "not-utf8": (lambda doc: b'{"format": "\xff"}', "undecodable"),
     "not-an-object": (lambda doc: [doc], "undecodable"),
     "missing-key": (lambda doc: {k: v for k, v in doc.items() if k != "stats"}, "undecodable"),
-    "wrong-format": (lambda doc: {**doc, "format": "semeq-checkpoint/3"}, "format"),
+    "wrong-format": (lambda doc: {**doc, "format": "semeq-checkpoint/4"}, "format"),
     "pending-negative": (lambda doc: {**doc, "pending": [[0, 1, -1]]}, "-1"),
     "pending-true": (lambda doc: {**doc, "pending": [[0, 1, True]]}, "True"),
     "stats-negative": (lambda doc: {**doc, "stats": {**doc["stats"], "nodes": -5}}, "-5"),
@@ -248,11 +259,13 @@ def test_interrupted_checkpoint_resume(tmp_path, census_35_4):
 
 # The search tree is part of the contract: a faster kernel must visit the
 # same nodes, prune the same candidates and address subtrees the same way.
-# The counts are those of censusbench/baseline.json.
+# The counts are those of fail-first branching (each extension node takes the
+# face end with fewer passing children); censusbench/baseline.json still
+# holds the counts from before it.
 @pytest.mark.parametrize("tstr,nodes,completions,prunes", [
-    ("[3^1,4^1,3^1,4^2]", 7630, 4, {"constraint": 23731}),
-    ("[3^5,4^1]", 9299, 32, {"constraint": 23929}),
-])
+    ("[3^1,4^1,3^1,4^2]", 7144, 4, {"constraint": 21741}),
+    ("[3^5,4^1]", 8748, 32, {"constraint": 21950}),
+], ids=["[3^1,4^1,3^1,4^2]", "[3^5,4^1]"])
 def test_search_tree_pinned(tstr, nodes, completions, prunes):
     stats = enumerate_maps(tstr, 12, -1).stats
     assert (stats.nodes, stats.completions, stats.prunes) == (nodes, completions, prunes)
@@ -266,26 +279,43 @@ def test_checkpoint_subtree_paths_pinned(tmp_path):
     assert not r.complete
     with open(path, "rb") as fh:
         _, pending, _, _ = _checkpoint_parse(fh.read())
-    assert len(pending) == 124
-    assert pending[0] == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1)
+    assert len(pending) == 121
+    assert pending[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
     digest = hashlib.sha256(json.dumps([list(p) for p in pending]).encode()).hexdigest()
-    assert digest == "6a2ac1984ca22da6e5ad694448c366747f8943aeda98b46fa02494c7ee1c5aa4"
+    assert digest == "292fde9851447d0aec850dfab47c5625093e4f087d91b412b694b8e390466df7"
 
 
-def test_tampered_path_with_rejected_step_refused(tmp_path):
-    # the last index of the first pending path is rewritten to one that
-    # exists at that node but whose step is rejected: the resume must refuse
-    # the checkpoint rather than count the subtree as searched
+def _resume_with_first_path(tmp_path, tampered):
+    """Cut [3^5,4^1]/12 at one node, let ``tampered`` rewrite the pending
+    paths (a path lists indices of a node's children, the candidates that
+    passed), and resume from the rewritten checkpoint."""
     path = str(tmp_path / "ck.bin")
     enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=1))
     with open(path, "rb") as fh:
         header, pending, maps, stats = _checkpoint_parse(fh.read())
-    assert pending[0] == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1)
-    pending[0] = (0, 1, 0, 0, 0, 0, 0, 1, 0, 0)
+    assert pending[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+    pending[0] = tampered(pending)
     with open(path, "wb") as fh:
         fh.write(_checkpoint_bytes(header, pending, maps, stats))
-    with pytest.raises(CorruptCheckpointError):
-        enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+    return enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+
+
+def test_tampered_path_with_rejected_step_refused(tmp_path):
+    # the first pending path is replaced by a longer one whose last index
+    # names a child whose step is rejected once applied: the resume must
+    # refuse the checkpoint rather than count the subtree as searched
+    for which, tail, step in [(3, (0, 0, 0, 0, 0, 0), "new-face"),  # fails once laid
+                              (5, (0, 0, 0), "closing-step")]:  # fails on the closed face
+        (tmp_path / step).mkdir()
+        with pytest.raises(CorruptCheckpointError, match="rejected at replay"):
+            _resume_with_first_path(tmp_path / step, lambda pending: pending[which] + tail)
+
+
+def test_tampered_path_past_children_refused(tmp_path):
+    # the last node of the first pending path has four raw candidates, of
+    # which three pass: index 3 names a candidate, but no child
+    with pytest.raises(CorruptCheckpointError, match="does not exist"):
+        _resume_with_first_path(tmp_path, lambda pending: pending[0][:-1] + (3,))
 
 
 def test_fresh_first_witness_pinned():
@@ -298,14 +328,15 @@ def test_fresh_first_witness_pinned():
 
 def test_cut_witness_run_pinned():
     # the row where candidates that end no arc are skipped most often; a
-    # budget cut shows that they are still counted one by one, in list order
+    # budget cut shows that each opened extension node counts its rejected
+    # candidates when it is opened
     r = enumerate_maps("[4^1,6^1,14^1]", 84, -1,
                        EnumOptions(fresh_first=True, node_budget=2000))
     assert not r.complete
     assert r.stats.to_dict() == {
         "nodes": 2001, "completions": 0, "rejected_nonpolyhedral": 0,
         "rejected_wrong_type": 0, "rejected_wrong_size": 0,
-        "prunes": {"budget": 1, "constraint": 77070},
+        "prunes": {"budget": 1, "constraint": 65258},
     }
 
 
@@ -323,8 +354,8 @@ def test_resumed_run_counts_each_node_once(tmp_path, threads):
                              EnumOptions(checkpoint_path=path, threads=threads))
     assert resumed.complete
     assert resumed.stats.to_dict() == enumerate_maps("[3^5,4^1]", 12, -1).stats.to_dict()
-    assert resumed.stats.nodes == 9299
-    assert resumed.stats.prunes == {"constraint": 23929}
+    assert resumed.stats.nodes == 8748
+    assert resumed.stats.prunes == {"constraint": 21950}
 
 
 def test_empty_frontier_still_checkpointed(tmp_path):

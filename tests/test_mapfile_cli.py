@@ -69,6 +69,20 @@ def test_loads_errors():
         loads('{"vertices": 2, "faces": [[1, 2]]}')  # face too short
 
 
+@pytest.mark.parametrize("doc", [
+    '{"vertices": 4.9, "faces": [[1,2,3.7],[1,2,4],[1,3,4],[2,3,4]]}',
+    '{"vertices": 4, "faces": [[1,2,3.0],[1,2,4],[1,3,4],[2,3,4]]}',
+    '{"vertices": true, "faces": [[1,2,3],[1,2,4],[1,3,4],[2,3,4]]}',
+    '{"vertices": 4, "faces": [[true,2,3],[1,2,4],[1,3,4],[2,3,4]]}',
+    '{"vertices": "4", "faces": [[1,2,3],[1,2,4],[1,3,4],[2,3,4]]}',
+    '{"vertices": 4, "faces": ["123",[1,2,4],[1,3,4],[2,3,4]]}',
+], ids=["fractions", "float", "bool-count", "bool-label", "string-count", "string-face"])
+def test_loads_json_needs_integers(doc):
+    # a JSON number is taken as it is written, never truncated
+    with pytest.raises(MapFileError, match="integer"):
+        loads(doc)
+
+
 def test_comments_and_whitespace():
     flm = loads("# a comment\n\nvertices 4\nface 1 2 3 # trailing\nface 1 2 4\nface 1 3 4\nface 2 3 4\n")
     assert flm.vertex_count == 4

@@ -1,6 +1,9 @@
 """Vertex-type arithmetic tests."""
 
 import hashlib
+import subprocess
+import sys
+
 import pytest
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from semeq.typecalc import (
     vertex_count_for,
 )
 
+from conftest import checkout_env
 from oracles import admissible_types_bruteforce
 
 
@@ -212,6 +216,17 @@ def test_admissible_chi_minus_four():
     pairs = admissible_types(-4)
     assert len(pairs) == 91
     assert all(p.euler_characteristic() == -4 for p in pairs)
+
+
+def test_small_min_vertices_finishes():
+    # with min_vertices = 1 the Euler window floor never stops the growth of
+    # a face size; the bounds on n from above and below must, so the call
+    # runs in a child process that is stopped if it hangs
+    code = ("from semeq.typecalc import FilterOptions, admissible_types\n"
+            "print(len(admissible_types(-4, FilterOptions(min_vertices=1))))")
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert int(out.stdout) >= 91
 
 
 def test_admissible_chi_minus_two():

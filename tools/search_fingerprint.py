@@ -1,7 +1,10 @@
 """Print one SHA-256 per section of what the chi = -1 search produces.
 
 A change that must leave the search tree alone (a faster kernel, a faster
-canonical scan) should leave every line of this output as it is:
+canonical scan) should leave every line of this output as it is.  A change
+that reshapes the tree but not its results (another branching rule) moves
+rows, checkpoint, resume and witness, and leaves classify, maps and census
+as they are:
 
   classify    the (n, cycle, face_counts, filters_passed) rows of
               admissible_types for chi = -1 ... -4 under the default options,
@@ -11,6 +14,11 @@ canonical scan) should leave every line of this output as it is:
               branch_shuffle_seed=7, node_budget=500 and threads=2;
               disable_pair_prune skips [3^4,8^1]/24, whose tree it grows
               from 671,918 nodes to more than 2,000,000
+  maps        the codes and map files of the same rows under every option
+              set that searches the whole tree (all but node_budget=500,
+              whose cut falls where the tree puts it), without the stats;
+              each map is written relabelled canonically, since which
+              labelled copy of a map the search keeps depends on the tree
   checkpoint  the decoded checkpoint of each of those rows cut at
               node_budget=1000: header, pending paths, codes, faces and
               stats, so that two checkpoint formats holding the same
@@ -42,8 +50,9 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from semeq.enumerator import EnumOptions, _checkpoint_parse, enumerate_maps, exists_any  # noqa: E402
+from semeq.mapcore import FaceListMap  # noqa: E402
 from semeq.mapfile import dumps  # noqa: E402
-from semeq.symmetry import canonical_code  # noqa: E402
+from semeq.symmetry import canonical_code, canonical_order  # noqa: E402
 from semeq.typecalc import FilterOptions, admissible_types  # noqa: E402
 
 OPTION_SETS = {
@@ -71,17 +80,36 @@ def classify_section() -> str:
     return _digest(out)
 
 
-def rows_section(rows) -> str:
-    out = []
+def _canonical_file(m) -> str:
+    """The map file of m relabelled canonically: vertices numbered in the
+    order the canonical traversal first reaches them, each face read from
+    its least rotation in either direction, faces sorted."""
+    label = {}
+    for fl in canonical_order(m):
+        label.setdefault(m.vertex_of[fl] + 1, len(label) + 1)  # vertex_of is 0-based
+    faces = []
+    for f in m.faces:
+        cyc = [label[v] for v in f]
+        k = len(cyc)
+        faces.append(min(tuple(w[i:] + w[:i]) for w in (cyc, cyc[::-1]) for i in range(k)))
+    return dumps(FaceListMap(m.f0, tuple(sorted(faces))))
+
+
+def rows_and_maps_sections(rows) -> tuple[str, str]:
+    out, maps = [], []
     for name, kw in OPTION_SETS.items():
         for pair in rows:
             row = (str(pair.type), pair.n)
             if kw.get("disable_pair_prune") and row in SLOW_WITHOUT_PAIR_PRUNE:
                 continue
             r = enumerate_maps(pair.type, pair.n, -1, EnumOptions(**kw))
+            codes = [c.hex() for c in r.codes]
             out.append([name, str(pair.type), pair.n, r.complete, r.stats.to_dict(),
-                        [c.hex() for c in r.codes], [dumps(m) for m in r.maps]])
-    return _digest(out)
+                        codes, [dumps(m) for m in r.maps]])
+            if "node_budget" not in kw:
+                maps.append([name, str(pair.type), pair.n, codes,
+                             [_canonical_file(m) for m in r.maps]])
+    return _digest(out), _digest(maps)
 
 
 def _faces(m):
@@ -124,7 +152,9 @@ def census_section() -> str:
 def main() -> None:
     print("classify", classify_section(), flush=True)
     rows = [p for p in admissible_types(-1) if p.n <= 24]
-    print("rows", rows_section(rows), flush=True)
+    rows_line, maps_line = rows_and_maps_sections(rows)
+    print("rows", rows_line, flush=True)
+    print("maps", maps_line, flush=True)
     checkpoint, resume = checkpoint_and_resume_sections(rows)
     print("checkpoint", checkpoint, flush=True)
     print("resume", resume, flush=True)
