@@ -100,6 +100,7 @@ def _cmd_enumerate(args) -> int:
         )
         return 2
     result = enumerate_maps(t, args.n, args.chi, _enum_opts(args))
+    infos = [analyze_map(m) for m in result.maps]
     if args.json:
         doc = {
             "type": str(t),
@@ -109,7 +110,7 @@ def _cmd_enumerate(args) -> int:
             "diagnostic": result.diagnostic,
             "count": len(result.maps),
             "stats": result.stats.to_dict(),
-            "maps": [analyze_map(m) for m in result.maps],
+            "maps": infos,
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -119,17 +120,19 @@ def _cmd_enumerate(args) -> int:
             f"{len(result.maps)} isomorphism class(es) of type {t} with n={args.n} "
             f"(complete={result.complete}, nodes={result.stats.nodes})"
         )
-        for i, m in enumerate(result.maps, 1):
-            info = analyze_map(m)
+    # in JSON mode stdout stays one document, so the file notes go to stderr
+    note = sys.stderr if args.json else sys.stdout
+    for i, (m, info) in enumerate(zip(result.maps, infos), 1):
+        if not args.json:
             print(
                 f"  map {i}: |Aut|={info['aut_order']} ({info['aut_structure']}), "
                 f"orbits={info['orbit_count']}, digest={info['canonical_digest'][:16]}"
             )
-            if args.emit:
-                path = f"{args.emit}-{i}.map"
-                with open(path, "w") as fh:
-                    fh.write(dump_map(m, comment=f"type {t} n={args.n} chi={args.chi}"))
-                print(f"    wrote {path}")
+        if args.emit:
+            path = f"{args.emit}-{i}.map"
+            with open(path, "w") as fh:
+                fh.write(dump_map(m, comment=f"type {t} n={args.n} chi={args.chi}"))
+            print(f"    wrote {path}", file=note)
     return 0
 
 

@@ -24,10 +24,13 @@ end neighbour, each entry holding the arc's other end and the word of its
 face sizes.  A new corner joins at most two arcs, so a fan check is a few
 lookups and one set lookup among the words of the type cycle, with no walk
 around the fan; its verdict for the labels that end no arc is the same, so
-it is taken once per end filtered.  Candidate lists are read from sets of
-saturated neighbours (edges with two faces).  The state stores
-each fact once: whether a face or a fan is closed is read from its path
-length or corner count, not kept beside them.  Every prune is a necessary
+it is taken once per end filtered.  Candidate lists are plain labels, read
+from sets of saturated neighbours (edges with two faces); a label is fresh
+exactly when it is the next unused one.  The edge and face-pair tables are
+flat lists indexed by one integer per vertex pair or face pair, so no
+lookup builds a tuple key.  The state stores each fact once: whether a face
+or a fan is closed is read from its path length or corner count, not kept
+beside them.  Every prune is a necessary
 condition (edge used by at most two faces, the polyhedral face-intersection
 rules, partial fans embedding into the type cycle, face and label budgets),
 hence the search is exhaustive: it visits a superset of every map of the
@@ -111,10 +114,13 @@ class EnumOptions:
     fresh_first: bool = False
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError("node_budget must not be negative")
+        # a bool is an int subclass, and a float count would reach the pool
+        if type(self.threads) is not int or self.threads < 1:
+            raise ValueError(f"threads must be an integer of at least 1, not {self.threads!r}")
+        if self.node_budget is not None and (type(self.node_budget) is not int
+                                             or self.node_budget < 0):
+            raise ValueError(f"node_budget must be a non-negative integer, "
+                             f"not {self.node_budget!r}")
         if (self.threads > 1 or self.checkpoint_path is not None) and (
             self.branch_shuffle_seed is not None or self.fresh_first
         ):
@@ -172,6 +178,12 @@ class _Search:
     neighbour u to ``(w, word)``, where w is the arc's other end neighbour and
     word spells the arc's face sizes, one character per corner, read from
     the corner at u to the corner at w.  A closed fan has no arcs.
+    ``edge_faces[a*W + b]`` (a < b, W = n + 1) lists the faces laid along
+    edge {a, b}, oldest first, or is None; ``pair_verts[g*F + f]`` (g < f,
+    F = face total + 1) lists the vertices faces g and f share, in the
+    order they were added to f, or is None.  Both are flat lists, one slot
+    per vertex or face pair, so a lookup builds no key.  The open face is
+    always the newest, so every pair it forms has it as f.
     ``saturated[v]`` holds the neighbours u whose edge {v, u} carries two
     faces, kept by _put_edge and its undo.  ``words`` holds every run of 1
     to d consecutive sizes around the type cycle, read in either direction,
@@ -187,8 +199,8 @@ class _Search:
 
     find_slot gives the next node as ("extend", fid, rejected, children),
     ("start", v, x, sizes) or ("complete", None, None, ()).  The children of
-    an extension node are the (label, fresh) candidates that pass _append_ok
-    at the chosen end of the open face, in branching order, with that end
+    an extension node are the candidate labels that pass _append_ok at the
+    chosen end of the open face, in branching order, with that end
     turned last in the path (a journaled reversal); rejected counts the
     candidates of that end that failed.
     """
@@ -208,9 +220,11 @@ class _Search:
 
         self.fsize: list[int] = []
         self.fpath: list[list[int]] = []
-        self.edge_faces: dict[tuple[int, int], list[int]] = {}
+        self.width = n + 1
+        self.edge_faces: list[Optional[list[int]]] = [None] * (n + 1) ** 2
         self.saturated: list[set[int]] = [set() for _ in range(n + 1)]
-        self.pair_verts: dict[tuple[int, int], list[int]] = {}
+        self.nfaces = sum(budgets.values()) + 1
+        self.pair_verts: list[Optional[list[int]]] = [None] * self.nfaces ** 2
         self.vfaces: list[list[int]] = [[] for _ in range(n + 1)]
         self.budget = dict(budgets)
         self.sizes_sorted = sorted(budgets)
@@ -226,19 +240,20 @@ class _Search:
 
     def undo_to(self, mark: int) -> None:
         j = self.journal
+        fpath, edge_faces, pv = self.fpath, self.edge_faces, self.pair_verts
         while len(j) > mark:
             op = j.pop()
             tag = op[0]
             if tag == 0:  # vertex appended to a face
-                self.fpath[op[1]].pop()
+                fpath[op[1]].pop()
             elif tag == 1:  # face laid along an edge
                 key = op[1]
-                lst = self.edge_faces[key]
+                lst = edge_faces[key]
                 lst.pop()
                 if not lst:
-                    del self.edge_faces[key]
+                    edge_faces[key] = None
                 else:
-                    a, b = key
+                    a, b = divmod(key, self.width)
                     self.saturated[a].discard(b)
                     self.saturated[b].discard(a)
             elif tag == 2:  # corner, with the arc-end entries it replaced
@@ -255,25 +270,25 @@ class _Search:
                     ends[b] = arc_b
                     ends[arc_b[0]] = far_b
             elif tag == 3:  # vertex shared with the faces already at it
-                fid, y = op[1], op[2]
-                vf = self.vfaces[y]
+                fid = op[1]
+                vf = self.vfaces[op[2]]
                 vf.pop()
-                pv = self.pair_verts
+                nf = self.nfaces
                 for g in vf:
-                    pkey = (g, fid) if g < fid else (fid, g)
-                    lst = pv[pkey]
+                    key = g * nf + fid
+                    lst = pv[key]
                     lst.pop()
                     if not lst:
-                        del pv[pkey]
+                        pv[key] = None
             elif tag == 4:  # face created
                 fid = op[1]
                 self.budget[self.fsize[fid]] += 1
                 self.fsize.pop()
-                self.fpath.pop()
+                fpath.pop()
             elif tag == 6:  # label
                 self.labels_used -= 1
             elif tag == 7:  # path reversed
-                self.fpath[op[1]].reverse()
+                fpath[op[1]].reverse()
 
     # -- checks: pure functions of the state and one prospective change -----
 
@@ -288,7 +303,8 @@ class _Search:
         second edge of it would either share a third vertex with it, which
         the pair prune's _shared_ok rejects, or repeat its corner at the
         path's end, which the fan test rejects first."""
-        lst = self.edge_faces.get((a, b) if a < b else (b, a))
+        w = self.width
+        lst = self.edge_faces[a * w + b if a < b else b * w + a]
         if lst is None:
             return True
         return len(lst) < 2 and self.size_char[self.fsize[lst[0]]] + c in self.words
@@ -299,7 +315,8 @@ class _Search:
         is a closed face (only the face being built is open), so it carries
         the edge or never will; f carries it, or is the open face still able
         to close on it, when f_fits says so, and otherwise the tables tell."""
-        efs = self.edge_faces.get((u, w) if u < w else (w, u), ())
+        k = self.width
+        efs = self.edge_faces[u * k + w if u < w else w * k + u] or ()
         for h in efs:
             if h != f and h != g:
                 return False
@@ -311,8 +328,9 @@ class _Search:
         path = self.fpath[fid]
         v, first = path[-1], path[0]
         pv = self.pair_verts
+        nf = self.nfaces
         for g in self.vfaces[y]:
-            lst = pv.get((g, fid) if g < fid else (fid, g))
+            lst = pv[g * nf + fid]
             if lst is None:
                 continue
             if len(lst) >= 2:
@@ -329,12 +347,12 @@ class _Search:
         if not self.pair_prune:
             return True
         pv = self.pair_verts
+        nf = self.nfaces
         for y in self.fpath[fid]:
             for g in self.vfaces[y]:
                 if g == fid:
                     continue
-                pkey = (g, fid) if g < fid else (fid, g)
-                lst = pv.get(pkey)
+                lst = pv[g * nf + fid]
                 if lst is not None and len(lst) == 2 and lst[-1] == y:
                     if not self._pair_feasible(fid, g, lst[0], lst[1]):
                         return False
@@ -392,40 +410,62 @@ class _Search:
         arc = self.ends[y].get(v)
         return arc is None or c + arc[1] in self.words
 
-    def _append_ok(self, fid: int, y: int, fan_known: bool = False) -> bool:
-        """Whether extending the open face fid by y passes the checks of the
-        step that the current state decides: the edge {v, y} (v the path's
-        last vertex), the face pairs meeting at y, the fan at v with its new
-        corner, and then either the half corner at y or, when the step
-        closes the face, the closing edge {y, first} and the fans at y and
-        first with their new corners.  Mutates nothing.  The checks that
-        need the closed face run in _close_face once the step is applied.
-        fan_known says the caller already knows the fan test at v passes."""
+    def _append_ok(self, fid: int, y: int) -> bool:
+        """Whether extending the open face fid by y passes the checks of
+        the step that the current state decides (see _passing)."""
+        return bool(self._passing(fid, (y,), 1))
+
+    def _passing(self, fid: int, cands, limit: int) -> list:
+        """The candidate labels y, in their order, whose extension of the
+        open face fid passes the checks of the step that the current state
+        decides, stopping once limit of them pass: the fan at v (the path's
+        last vertex) with its new corner, the edge {v, y}, the face pairs
+        meeting at y, and then either the half corner at y or, when the step
+        closes the face, the fans at y and first with their new corners and
+        the closing edge {y, first}.  Mutates nothing.  The checks that need
+        the closed face run in _close_face once the step is applied.
+
+        The fan test at v has the same verdict for every label that ends
+        none of v's arcs, so it is taken once for all of them; when the face
+        is being begun, v gets the new edge but no corner, and only a label
+        that ends an arc there needs the half-corner test."""
         path = self.fpath[fid]
-        v = path[-1]
+        v, first = path[-1], path[0]
         c = self.size_char[self.fsize[fid]]
-        # the fan test comes first: it rejects the most candidates
-        if len(path) == 1:
-            # a face being begun: v gets the new edge but no corner yet
-            if not self._half_corner_ok(v, y, c):
-                return False
-        elif not fan_known and not self._validate_vertex(v, path[-2], y, c):
-            return False
-        if not self._edge_ok(v, y, c):
-            return False
-        if self.pair_prune and not self._shared_ok(fid, y):
-            return False
-        if len(path) + 1 < self.fsize[fid]:
-            return self._half_corner_ok(y, v, c)
-        # the closing checks may read the state before the step: its edge
-        # {v, y} and corner at v touch neither the fans of y and first nor
-        # the edge {y, first}; and a face on both new edges, which would
-        # share two edges with fid, shares v and first with it, which
-        # _shared_ok has rejected
-        first = path[0]
-        return (self._validate_vertex(y, v, first, c)
-                and self._validate_vertex(first, y, path[1], c)
-                and self._edge_ok(y, first, c))
+        ends = self.ends[v]
+        begun = len(path) == 1
+        prev = None if begun else path[-2]
+        closing = len(path) + 1 == self.fsize[fid]
+        # 0 is no label, so it ends no arc
+        off_arc = begun or self._validate_vertex(v, prev, 0, c)
+        validate, edge_ok = self._validate_vertex, self._edge_ok
+        half_corner_ok = self._half_corner_ok
+        shared_ok = self._shared_ok if self.pair_prune else None
+        out = []
+        for y in cands:
+            # the fan test comes first: it rejects the most candidates
+            if y in ends:
+                if not (half_corner_ok(v, y, c) if begun else validate(v, prev, y, c)):
+                    continue
+            elif not off_arc:
+                continue
+            if not edge_ok(v, y, c) or (shared_ok and not shared_ok(fid, y)):
+                continue
+            if closing:
+                # the closing checks may read the state before the step: its
+                # edge {v, y} and corner at v touch neither the fans of y
+                # and first nor the edge {y, first}; and a face on both new
+                # edges, which would share two edges with fid, shares v and
+                # first with it, which _shared_ok has rejected
+                if not (validate(y, v, first, c) and validate(first, y, path[1], c)
+                        and edge_ok(y, first, c)):
+                    continue
+            elif not half_corner_ok(y, v, c):
+                continue
+            out.append(y)
+            if len(out) == limit:
+                break
+        return out
 
     def _size_supply_ok(self, s: int) -> bool:
         """No s-faces remain (budget spent, none open): every vertex must
@@ -448,8 +488,8 @@ class _Search:
     # -- mutators (journaled; the checks above have passed) ----------------
 
     def _put_edge(self, a: int, b: int, fid: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        lst = self.edge_faces.get(key)
+        key = a * self.width + b if a < b else b * self.width + a
+        lst = self.edge_faces[key]
         if lst is None:
             self.edge_faces[key] = [fid]
         else:
@@ -462,11 +502,11 @@ class _Search:
         """Record that face fid now contains y."""
         vf = self.vfaces[y]
         pv = self.pair_verts
+        nf = self.nfaces
         for g in vf:
-            pkey = (g, fid) if g < fid else (fid, g)
-            lst = pv.get(pkey)
+            lst = pv[g * nf + fid]
             if lst is None:
-                pv[pkey] = [y]
+                pv[g * nf + fid] = [y]
             else:
                 lst.append(y)
         vf.append(fid)
@@ -510,12 +550,13 @@ class _Search:
         self.journal.append((4, fid))
         if self.pair_prune:
             self._put_shared(fid, x)
-        return self._append_ok(fid, v) and self._append_vertex(fid, v, False)
+        return self._append_ok(fid, v) and self._append_vertex(fid, v)
 
-    def _append_vertex(self, fid: int, y: int, fresh: bool) -> bool:
-        """Extend face fid by y, a step that passed _append_ok.  Only a step
-        that closes the face can still fail; the caller unwinds on False."""
-        if fresh:
+    def _append_vertex(self, fid: int, y: int) -> bool:
+        """Extend face fid by y, a step that passed _append_ok; y is fresh
+        when it is the next unused label.  Only a step that closes the face
+        can still fail; the caller unwinds on False."""
+        if y > self.labels_used:
             self.labels_used += 1
             self.journal.append((6,))
         path = self.fpath[fid]
@@ -563,7 +604,7 @@ class _Search:
             fid = len(self.fsize) - 1
             for j in range(1, size - 1):
                 y = ring[(off + j) % m]
-                ok = ok and self._append_ok(fid, y) and self._append_vertex(fid, y, False)
+                ok = ok and self._append_ok(fid, y) and self._append_vertex(fid, y)
             if not ok:
                 raise RuntimeError(f"root star step of a {size}-gon rejected for type "
                                    f"{self.cycle} with n={self.n}")
@@ -630,50 +671,33 @@ class _Search:
                     sizes.append(s)
         return ("start", v, best_nbr, sizes)
 
-    def _passing(self, fid: int, cands: list, limit: int) -> list:
-        """The candidates (label, fresh) that pass _append_ok as extensions
-        of the open face fid after its path's last vertex v, in their order,
-        stopping once limit of them pass.  The fan test at v has the same
-        verdict for every label that ends none of v's arcs, so it is taken
-        once here for all of them."""
-        path = self.fpath[fid]
-        v = path[-1]
-        ends = self.ends[v]
-        # 0 is no label, so it ends no arc
-        off_arc = self._validate_vertex(v, path[-2], 0, self.size_char[self.fsize[fid]])
-        out = []
-        for cand in cands:
-            known = cand[0] not in ends
-            if (off_arc or not known) and self._append_ok(fid, cand[0], known):
-                out.append(cand)
-                if len(out) == limit:
-                    break
-        return out
-
     def extend_candidates(self, fid: int) -> tuple[list, list]:
         """Labels that may extend the open face fid at its tail (after the
         last path vertex) and at its head (before the first), each as a list
-        of (label, fresh) in branching order.  A label is excluded when its
-        fan is full or the new edge to it already carries two faces, read
-        from the saturated-neighbour sets of the path's two ends."""
+        of labels in branching order, from one walk over the labels; the
+        next unused label, when one is left, comes last (first, with
+        fresh_first).  A label is excluded when its fan is full or the new
+        edge to it already carries two faces, read from the
+        saturated-neighbour sets of the path's two ends."""
         path = self.fpath[fid]
         last, first = path[-1], path[0]
         vset = set(path)
         corner_count = self.corner_count
         d = self.d
-        labels = [y for y in range(2, self.labels_used + 1)
-                  if corner_count[y] < d and y not in vset]
         sat_tail, sat_head = self.saturated[last], self.saturated[first]
         closing = len(path) + 1 == self.fsize[fid]
         if closing:
             # a closing step lays both edges at y, whichever end it takes
-            tail = [(y, False) for y in labels if y not in sat_tail and y not in sat_head]
-            head = list(tail)
-        else:
-            tail = [(y, False) for y in labels if y not in sat_tail]
-            head = [(y, False) for y in labels if y not in sat_head]
+            sat_tail = sat_head = sat_tail | sat_head
+        tail, head = [], []
+        for y in range(2, self.labels_used + 1):
+            if corner_count[y] < d and y not in vset:
+                if y not in sat_tail:
+                    tail.append(y)
+                if y not in sat_head:
+                    head.append(y)
         if self.labels_used < self.n:
-            fresh = (self.labels_used + 1, True)
+            fresh = self.labels_used + 1
             for out in (tail, head):
                 if self.fresh_first:
                     out.insert(0, fresh)
@@ -793,8 +817,8 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                         # a new face of size cand at vertex a, next to b
                         ok = st._start_face(cand, b, a)
                     else:
-                        # extend face a by the label cand[0]
-                        ok = st._append_vertex(a, cand[0], cand[1])
+                        # extend face a by the label cand
+                        ok = st._append_vertex(a, cand)
                     if ok:
                         if count_nodes:
                             nodes += 1

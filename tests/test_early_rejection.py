@@ -12,10 +12,11 @@ corner, the fans that get a new corner.  Only the checks that need the
 closed face (deferred face pairs, size supply) are left to the applied step.
 The walk also holds the kernel's shortcuts against plain derivations: the
 children of each node against the passing candidates of both ends, the
-candidate lists against the face paths and corner counts, the
-saturated-neighbour sets against the edge table (after every undo too), and
-the once-per-end fan verdict against the fan test of each candidate that
-ends no arc of the fan.  At every node it checks the facts the kernel reads
+candidate lists against the face paths and corner counts, the integer-keyed
+edge and face-pair tables against the face paths (after every apply and
+every undo), the saturated-neighbour sets against the edge table, and the
+once-per-end fan verdict against the fan test of each candidate that ends
+no arc of the fan.  At every node it checks the facts the kernel reads
 instead of storing: only the last face can be open, a fan is closed exactly
 when it has d corners, and under the pair prune no two faces share two
 edges.  The oracle reads closedness from path lengths and tests words
@@ -215,11 +216,55 @@ def _edge_map(st):
     return edges
 
 
-def _saturated_ok(st):
-    """The saturated-neighbour sets are those of the edges with two faces."""
+def _edges_of(st):
+    """The edge table, keyed a*W + b for a < b, read back as vertex pairs;
+    an edge that carries no face holds None, never an empty list."""
+    out = {}
+    for key, faces in enumerate(st.edge_faces):
+        if faces is not None:
+            a, b = divmod(key, st.width)
+            assert faces and 0 < a < b <= st.n, (key, faces)
+            out[frozenset((a, b))] = faces
+    return out
+
+
+def _pairs_of(st):
+    """The face-pair table, keyed g*F + f for g < f, read back as face
+    pairs; a pair that shares no vertex holds None."""
+    out = {}
+    for key, verts in enumerate(st.pair_verts):
+        if verts is not None:
+            g, f = divmod(key, st.nfaces)
+            assert verts and g < f < len(st.fsize), (key, verts)
+            out[(g, f)] = verts
+    return out
+
+
+def _pair_map(st, order):
+    """The shared vertices of each pair of faces g < f, in the order they
+    were added to f (``order[f]``, which may name one vertex more than a
+    rejected new face holds); empty without the pair prune."""
+    if not st.pair_prune:
+        return {}
+    pairs = {}
+    for f, added in enumerate(order):
+        for g in range(f):
+            shared = [y for y in added if y in st.fpath[f] and y in st.fpath[g]]
+            if shared:
+                pairs[(g, f)] = shared
+    return pairs
+
+
+def _tables_ok(st, order):
+    """The edge table, the face-pair table and the saturated-neighbour sets
+    equal their recomputation from the face paths."""
+    edges = _edges_of(st)
+    if edges != _edge_map(st) or _pairs_of(st) != _pair_map(st, order):
+        return False
     want = [set() for _ in st.saturated]
-    for (a, b), faces in st.edge_faces.items():
+    for key, faces in edges.items():
         if len(faces) == 2:
+            a, b = key
             want[a].add(b)
             want[b].add(a)
     return st.saturated == want
@@ -254,12 +299,12 @@ def _candidates(st, fid, edges):
         if closing:
             free_tail = free_head = free_tail and free_head
         if free_tail:
-            tail.append((y, False))
+            tail.append(y)
         if free_head:
-            head.append((y, False))
+            head.append(y)
     if st.labels_used < st.n:
         for out in (tail, head):
-            out.insert(0 if st.fresh_first else len(out), (st.labels_used + 1, True))
+            out.insert(0 if st.fresh_first else len(out), st.labels_used + 1)
     if closing:
         if st.corner_count[first] >= st.d:
             tail = []
@@ -278,25 +323,29 @@ def _passing(st, edges, fid, cands, at_head):
     v, c = path[-1], st.size_char[st.fsize[fid]]
     off_arc = st._validate_vertex(v, path[-2], 0, c)
     out = []
-    for y, fresh in cands:
+    for y in cands:
         ok = st._append_ok(fid, y)
         assert ok == _step_ok(st, edges, fid, y), (fid, y, st.fpath)
         if y not in st.ends[v]:
             # one verdict stands for every candidate that ends no arc at v
             assert off_arc == st._validate_vertex(v, path[-2], y, c)
-            assert ok == (off_arc and st._append_ok(fid, y, True))
         if ok:
-            out.append((y, fresh))
+            out.append(y)
+    # the whole list at once, with the verdicts _passing takes once per end
+    assert st._passing(fid, cands, len(cands)) == out
     if at_head:
         path.reverse()
     return out
 
 
-def _walk(st, tally):
+def _walk(st, tally, order):
     """The search tree of _run, checking every candidate at both ends of the
-    open face, the children find_slot keeps, the candidate lists, the
-    saturated sets and the facts the kernel reads instead of storing."""
-    assert _saturated_ok(st)
+    open face, the children find_slot keeps, the candidate lists, the edge
+    and face-pair tables, the saturated sets and the facts the kernel reads
+    instead of storing.  ``order[f]`` lists the vertices of face f in the
+    order they were added, which a reversed path no longer shows.  The
+    tables are checked after every step applied, rejected or not, and after
+    every undo."""
     assert _invariants_ok(st), st.fpath
     nf = len(st.fsize)
     extending = nf > 0 and len(st.fpath[-1]) < st.fsize[-1]
@@ -330,26 +379,34 @@ def _walk(st, tally):
             assert chosen == first, st.fpath  # a tie keeps the first end
         tally["early"] += rejected
         tally["switched"] += chosen != first
-        for y, fresh in kids:
+        for y in kids:
             m = st.mark()
-            if st._append_vertex(fid, y, fresh):
+            order[fid].append(y)
+            ok = st._append_vertex(fid, y)
+            assert _tables_ok(st, order), st.fpath
+            if ok:
                 tally["nodes"] += 1
-                _walk(st, tally)
+                _walk(st, tally, order)
             else:
                 tally["late"] += 1
+            order[fid].pop()
             st.undo_to(m)
-            assert _saturated_ok(st)
+            assert _tables_ok(st, order), st.fpath
     else:
         _, v, x, sizes = slot
         for s in sizes:
             m = st.mark()
-            if st._start_face(s, x, v):
+            order.append([x, v])
+            ok = st._start_face(s, x, v)
+            assert _tables_ok(st, order), st.fpath
+            if ok:
                 tally["nodes"] += 1
-                _walk(st, tally)
+                _walk(st, tally, order)
             else:
                 tally["late"] += 1
+            order.pop()
             st.undo_to(m)
-            assert _saturated_ok(st)
+            assert _tables_ok(st, order), st.fpath
 
 
 ROWS = [
@@ -367,7 +424,10 @@ def test_early_rejection_matches_full_step(tstr, n, chi, pair_prune):
     spec = parse_type(tstr)
     st = _fresh_search(spec.cycle, n, face_counts(spec, n), pair_prune)
     tally = {"nodes": 0, "early": 0, "late": 0, "switched": 0}
-    _walk(st, tally)
+    # the root star is laid without reversals: its paths are in order added
+    order = [list(p) for p in st.fpath]
+    assert _tables_ok(st, order)
+    _walk(st, tally, order)
     stats = enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=not pair_prune)).stats
     assert tally["nodes"] == stats.nodes
     assert tally["early"] + tally["late"] == stats.prunes.get("constraint", 0)

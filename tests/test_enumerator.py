@@ -374,6 +374,17 @@ def test_nonpositive_counts_rejected(field):
         enumerate_maps("[3^3]", 4, 2, EnumOptions(**{field: 0}))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("threads", 2.5), ("threads", True), ("threads", "2"),
+    ("node_budget", 10.5), ("node_budget", True), ("node_budget", 0.0),
+])
+def test_non_integer_counts_rejected(field, value):
+    # a bool or a float is no count: before, threads=2.5 failed inside the
+    # pool, threads=True ran as 1, and node_budget=10.5 cut after 11 nodes
+    with pytest.raises(ValueError, match=field):
+        EnumOptions(**{field: value})
+
+
 def test_negative_node_budget_rejected():
     with pytest.raises(ValueError, match="node_budget"):
         EnumOptions(node_budget=-1)

@@ -182,6 +182,25 @@ def test_cli_enumerate_json():
     assert doc["maps"][0]["aut_order"] == 24
 
 
+def test_cli_enumerate_emit_in_both_modes(tmp_path):
+    # --emit writes the same files with and without --json; in JSON mode the
+    # "wrote" notes go to stderr, so stdout stays one JSON document
+    base = ["enumerate", "--type", "[3^5,4^1]", "--n", "12", "--chi", "-1"]
+    text = run_cli(*base, "--emit", str(tmp_path / "text"))
+    js = run_cli(*base, "--json", "--emit", str(tmp_path / "js"))
+    assert text.returncode == 0 and js.returncode == 0
+    doc = json.loads(js.stdout)
+    assert doc["count"] == 3
+    for i in range(1, 4):
+        assert f"wrote {tmp_path / 'text'}-{i}.map" in text.stdout
+        assert f"wrote {tmp_path / 'js'}-{i}.map" in js.stderr
+        written = (tmp_path / f"js-{i}.map").read_text()
+        assert written == (tmp_path / f"text-{i}.map").read_text()
+        m = build_from_faces(loads(written))
+        assert canonical_code(m).digest() == doc["maps"][i - 1]["canonical_digest"]
+    assert not (tmp_path / "js-4.map").exists()
+
+
 def test_cli_enumerate_long_gate():
     proc = run_cli("enumerate", "--type", "[4^1,8^1,10^1]", "--n", "40", "--chi", "-1")
     assert proc.returncode == 2
