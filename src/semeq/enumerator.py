@@ -8,8 +8,11 @@ is extended vertex by vertex until it closes, so the face occupying any
 chosen corner is either already present or genuinely new.  Branches reuse
 existing labels in ascending order and may introduce at most the single next
 fresh label, which together with the fixed root star eliminates label
-symmetry; leftover isomorphic duplicates are removed afterwards by canonical
-code.
+symmetry.  The search still completes each isomorphism class once for every
+flag rooting it in that position, so completions are collected by canonical
+code, and a class table spares the scan: the first completion of a class is
+scanned, and a later one is known by the traversal code of one of its flags
+(_class_code).
 
 State is mutated in place with an undo journal.  Each candidate extension
 of the open face is tested before it is applied: the checks are pure
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .mapcore import CombMap, FaceListMap, build_from_faces, semi_equivelar_type, validate_polyhedral
-from .symmetry import canonical_code
+from .symmetry import _canonical_form, _flag_code, canonical_code
 from .typecalc import (VertexTypeSpec, closed_star_size, euler_characteristic_for, face_counts,
                        parse_type)
 
@@ -65,6 +68,10 @@ __all__ = [
 _CKPT_FORMAT = "semeq-checkpoint/3"
 _SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
 _SAVE_EVERY_S = 1.0  # least seconds between checkpoint rewrites mid-run
+
+# the class table of the _drive call running in this process (see
+# _class_code): code of a flag -> canonical code of its map
+_classes: dict[bytes, bytes] = {}
 
 
 class InconsistentParametersError(ValueError):
@@ -163,6 +170,11 @@ class EnumerationStats:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """maps[i] has canonical code codes[i], in code order.  Each map is the
+    last copy of its class the search completed, which need not be the copy
+    it scanned, so a map may come without a cached canonical scan; the first
+    canonical_code or automorphism_group call on it runs the scan."""
+
     maps: tuple[CombMap, ...]
     codes: tuple[bytes, ...]
     stats: EnumerationStats
@@ -715,9 +727,40 @@ class _Search:
 # -- DFS driver -------------------------------------------------------------
 
 
-def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
+def _class_code(m: CombMap, cycle: tuple[int, ...], classes: dict) -> bytes:
+    """The canonical code of m, scanning m only when no map of its class
+    is in the class table ``classes``.
+
+    The table maps the code of every flag in a face of one size, the size
+    on the fewest flags, to the canonical code of its map (symmetry's
+    _flag_code: two flags have the same code exactly when an isomorphism
+    carries one to the other).  An isomorphism carries a flag to a flag in
+    a face of the same size, so m belongs to a class in the table exactly
+    when the code of its probe, its first flag in a face of that size, is a
+    key.  A new class is scanned once, and each automorphism orbit of its
+    flags in faces of that size adds one key: the flags of an orbit have
+    the same code."""
+    size = min(cycle, key=cycle.count)
+    faces, face_of = m.faces, m.face_of
+    flags = [fl for fl in range(m.flag_count) if len(faces[face_of[fl]]) == size]
+    key = _flag_code(m, flags[0])
+    code = classes.get(key)
+    if code is None:
+        code = classes[key] = canonical_code(m).data
+        orbits = _canonical_form(m).orbits
+        for fl in flags:
+            if orbits[fl] == fl and fl != orbits[flags[0]]:
+                classes[_flag_code(m, fl)] = code
+    return code
+
+
+def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
+                 classes: Optional[dict] = None) -> bool:
     """Collect the completed state if it is a polyhedral map of the type,
-    as the CombMap validated and scanned here."""
+    as the CombMap validated here, under its canonical code.  With a class
+    table (see _class_code) the map is scanned only when it is the first of
+    its class, so it may come without a cached scan; without one, it is
+    always scanned.  The last copy of a class replaces the earlier ones."""
     stats.completions += 1
     if (
         st.labels_used != st.n
@@ -734,14 +777,16 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict) -> bool:
     if t is None or t.cycle != st.cycle:
         stats.rejected_wrong_type += 1
         return False
-    collector[canonical_code(m).data] = m
+    code = canonical_code(m).data if classes is None else _class_code(m, st.cycle, classes)
+    collector[code] = m
     return True
 
 
 def _run(st: _Search, stats: EnumerationStats, collector: dict,
          prefix: tuple[int, ...] = (), node_quota: Optional[int] = None,
          rng=None, split_depth: Optional[int] = None,
-         frontier: Optional[list] = None, first_only: bool = False) -> bool:
+         frontier: Optional[list] = None, first_only: bool = False,
+         classes: Optional[dict] = None) -> bool:
     """Depth-first search from the current state.
 
     ``prefix`` replays recorded child indices for the first levels (the
@@ -752,7 +797,8 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     ``split_depth`` is set, subtrees rooted at that depth are appended to
     ``frontier`` instead of being explored.  Returns False when the subtree
     was cut before it was finished: the node quota ran out, or
-    ``first_only`` collected a map.
+    ``first_only`` collected a map.  ``classes`` is the class table that
+    completions are looked up in (see _on_complete).
 
     find_slot filters an extension node's candidates: each candidate of the
     chosen end that fails _append_ok counts one ``constraint`` prune when
@@ -783,7 +829,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             if kind == "complete" or (track and depth >= split_depth):
                 if kind != "complete":
                     frontier.append(path)
-                elif _on_complete(st, stats, collector) and first_only:
+                elif _on_complete(st, stats, collector, classes) and first_only:
                     cut = True
                 if marks:
                     st.undo_to(marks.pop())
@@ -864,7 +910,7 @@ def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> l
     while True:
         frontier: list[tuple[int, ...]] = []
         tmp = EnumerationStats()
-        _run(st, tmp, collector, split_depth=depth, frontier=frontier)
+        _run(st, tmp, collector, split_depth=depth, frontier=frontier, classes=_classes)
         if len(frontier) >= _SPLIT_TARGET or not frontier:
             stats.merge(tmp)
             return frontier
@@ -874,12 +920,15 @@ def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> l
 def _run_path(task) -> tuple:
     """The executor of _drive: seed a search and run one subtree path.
     Returns its maps, its stats and whether it finished (False when the
-    node quota ran out, or first_only collected a map)."""
+    node quota ran out, or first_only collected a map).  Every task in one
+    process shares that process's class table, except first_only ones,
+    which use none."""
     params, quota, seed, first_only, path = task
     rng = None if seed is None else random.Random(seed)
     found, stats = {}, EnumerationStats()
     finished = _run(_fresh_search(*params), stats, found, prefix=path,
-                    node_quota=quota, rng=rng, first_only=first_only)
+                    node_quota=quota, rng=rng, first_only=first_only,
+                    classes=None if first_only else _classes)
     return found, stats, finished
 
 
@@ -997,48 +1046,55 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
     collector and stats after the last save, so a resumed run counts each
     node once.  Returns whether the whole tree was searched.  The caller
     has run _diagnostic, so every task's root star assembles.
+
+    The class table (see _class_code) lives for this call: the tasks run in
+    this process share it, each pool worker fills its own copy, and it is
+    emptied when the call returns or raises.  A first_only run fills none.
     """
-    split = opts.threads > 1 or opts.checkpoint_path is not None
-    pair_prune = not opts.disable_pair_prune
-    params = (spec.cycle, n, face_counts(spec, n), pair_prune, opts.fresh_first)
-    header = {"cycle": list(spec.cycle), "n": n, "chi": chi, "pair_prune": pair_prune}
-    if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
-        with open(opts.checkpoint_path, "rb") as fh:
-            _, queue, saved_maps, saved_stats = _checkpoint_parse(fh.read(), header)
-        collector.update(saved_maps)
-        stats.merge(saved_stats)
-    else:
-        queue = _expand_frontier(_fresh_search(*params), collector, stats) if split else [()]
-    quota = opts.node_budget
-    if quota is not None and split:
-        quota = max(1, quota // max(1, len(queue)))
+    try:
+        split = opts.threads > 1 or opts.checkpoint_path is not None
+        pair_prune = not opts.disable_pair_prune
+        params = (spec.cycle, n, face_counts(spec, n), pair_prune, opts.fresh_first)
+        header = {"cycle": list(spec.cycle), "n": n, "chi": chi, "pair_prune": pair_prune}
+        if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
+            with open(opts.checkpoint_path, "rb") as fh:
+                _, queue, saved_maps, saved_stats = _checkpoint_parse(fh.read(), header)
+            collector.update(saved_maps)
+            stats.merge(saved_stats)
+        else:
+            queue = _expand_frontier(_fresh_search(*params), collector, stats) if split else [()]
+        quota = opts.node_budget
+        if quota is not None and split:
+            quota = max(1, quota // max(1, len(queue)))
 
-    tasks = ((params, quota, opts.branch_shuffle_seed, first_only, path) for path in queue)
-    done = 0
-    cut_maps, cut_stats = {}, EnumerationStats()
-    pool = contextlib.nullcontext()
-    if opts.threads > 1:
-        import multiprocessing
+        tasks = ((params, quota, opts.branch_shuffle_seed, first_only, path) for path in queue)
+        done = 0
+        cut_maps, cut_stats = {}, EnumerationStats()
+        pool = contextlib.nullcontext()
+        if opts.threads > 1:
+            import multiprocessing
 
-        pool = multiprocessing.get_context("fork").Pool(opts.threads)
-    with pool:
-        run = pool.imap if opts.threads > 1 else map
-        last_save = time.monotonic()
-        for found, part, finished in run(_run_path, tasks):
-            if not finished:
-                cut_maps, cut_stats = found, part
-                break
-            collector.update(found)
-            stats.merge(part)
-            done += 1
-            if opts.checkpoint_path and time.monotonic() - last_save >= _SAVE_EVERY_S:
-                _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
-                last_save = time.monotonic()
-    if opts.checkpoint_path:
-        _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
-    collector.update(cut_maps)
-    stats.merge(cut_stats)
-    return done == len(queue)
+            pool = multiprocessing.get_context("fork").Pool(opts.threads)
+        with pool:
+            run = pool.imap if opts.threads > 1 else map
+            last_save = time.monotonic()
+            for found, part, finished in run(_run_path, tasks):
+                if not finished:
+                    cut_maps, cut_stats = found, part
+                    break
+                collector.update(found)
+                stats.merge(part)
+                done += 1
+                if opts.checkpoint_path and time.monotonic() - last_save >= _SAVE_EVERY_S:
+                    _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
+                    last_save = time.monotonic()
+        if opts.checkpoint_path:
+            _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
+        collector.update(cut_maps)
+        stats.merge(cut_stats)
+        return done == len(queue)
+    finally:
+        _classes.clear()
 
 
 def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> EnumerationResult:
@@ -1048,8 +1104,8 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     The parameters must pass _diagnostic, where the rules decided before
     any search live; otherwise the result is empty, complete, and carries
     the diagnostic (no such map can exist).  complete=False only when a node
-    budget was exhausted.  The maps are those the search validated, with
-    their canonical scan cached.
+    budget was exhausted.  The maps are those the search validated (see
+    EnumerationResult: a map may come without a cached canonical scan).
     """
     opts = opts or EnumOptions()
     spec = _normalize_type(t)

@@ -1,7 +1,8 @@
 """Reading and writing maps as text or JSON files.
 
 Text format: optional ``#`` comment lines, one ``vertices N`` line, then one
-``face v1 v2 ... vk`` line per face with 1-based whitespace-separated labels.
+``face v1 v2 ... vk`` line per face with 1-based whitespace-separated labels,
+each count and label written in ASCII digits.
 A file whose first non-blank byte is ``{`` is parsed instead as a JSON
 document ``{"vertices": N, "faces": [[...], ...]}``, whose count and labels
 must be JSON integers: ``4.9``, ``3.0``, ``true`` or ``"4"`` are refused, not
@@ -37,6 +38,12 @@ def _json_int(x) -> int:
     return x
 
 
+def _digits(token: str) -> bool:
+    # ASCII only: int() also reads signs, underscores and other scripts'
+    # digits, and str.isdigit passes superscripts that int() refuses
+    return token.isascii() and token.isdigit()
+
+
 def loads(text: str) -> FaceListMap:
     if text.lstrip().startswith("{"):
         try:
@@ -59,14 +66,13 @@ def loads(text: str) -> FaceListMap:
             if parts[0] == "vertices":
                 if n is not None:
                     raise MapFileError(f"line {lineno}: duplicate vertices line")
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not _digits(parts[1]):
                     raise MapFileError(f"line {lineno}: expected 'vertices N'")
                 n = int(parts[1])
             elif parts[0] == "face":
-                try:
-                    faces.append(tuple(int(v) for v in parts[1:]))
-                except ValueError as exc:
-                    raise MapFileError(f"line {lineno}: bad face labels") from exc
+                if not _digits("".join(parts[1:])):
+                    raise MapFileError(f"line {lineno}: bad face labels")
+                faces.append(tuple(map(int, parts[1:])))
             else:
                 raise MapFileError(f"line {lineno}: unknown directive {parts[0]!r}")
         if n is None:

@@ -9,10 +9,18 @@ isomorphic exactly when their codes agree, and each code-minimizing start
 flag yields one automorphism, so the automorphism group falls out of the same
 scan for free.  A start is dropped at the first code entry above the least
 code so far (McKay, J. Algorithms 26, 1998); one that ties or wins runs to
-the end, so the minimizing starts are those of a full scan.  The scan runs
-once per map and is cached on the CombMap: canonical_code,
-automorphism_group, isomorphic and canonical_order all read that one record
-(code, minimizing starts, traversal order from the first).
+the end.  Each tie is an automorphism, and the scan keeps the flag orbits of
+the automorphisms found so far in a union-find whose roots are the least
+flags of their orbits.  A start in the orbit of an earlier flag has that
+flag's code, so it is skipped (orbit pruning, as in McKay & Piperno, J.
+Symb. Comput. 60, 2014): on a map with a large group a few ties generate it,
+and the other starts in their orbits are never traversed.  At the end the
+orbits are those of the whole group, since the ties reach every least-code
+flag and the group acts freely on flags, and the minimizing starts are the
+orbit of the first, as in a full scan.  The scan runs once per map and is
+cached on the CombMap: canonical_code, automorphism_group, isomorphic and
+canonical_order all read that one record (code, minimizing starts, traversal
+order from the first, flag orbits).
 """
 
 from __future__ import annotations
@@ -60,11 +68,13 @@ def _encode(code: list[int]) -> bytes:
 @dataclass(frozen=True)
 class _CanonicalForm:
     """Result of one canonical scan: the encoded least code, the start flags
-    attaining it in flag order, and the traversal order from the first."""
+    attaining it in flag order, the traversal order from the first, and
+    for each flag the least flag of its automorphism orbit."""
 
     code: bytes
     starts: tuple[int, ...]
     order: tuple[int, ...]
+    orbits: tuple[int, ...]
 
 
 def _traverse(m: CombMap, start: int, bound: Optional[list[int]] = None
@@ -95,20 +105,46 @@ def _traverse(m: CombMap, start: int, bound: Optional[list[int]] = None
     return code, order
 
 
+def _flag_code(m: CombMap, start: int) -> bytes:
+    """The encoded code of the whole traversal from one start flag; two
+    flags have the same code exactly when an isomorphism of their maps
+    carries one to the other."""
+    return _encode(_traverse(m, start)[0])
+
+
 def _scan(m: CombMap) -> _CanonicalForm:
     """Traverse from every start flag and keep the least code, dropping a
-    start at its first code entry above the least code so far."""
+    start at its first code entry above the least code so far and skipping
+    a start in the orbit of an earlier flag."""
+    parent = list(range(m.flag_count))  # union-find; a root is its orbit's least flag
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     best: Optional[list[int]] = None
     for start in range(m.flag_count):
+        if root(start) != start:
+            continue
         found = _traverse(m, start, best)
         if found is None:
             continue
         code, order = found
         if best is None or code < best:
-            best, best_order, starts = code, order, [start]
-        else:
-            starts.append(start)
-    return _CanonicalForm(_encode(best), tuple(starts), tuple(best_order))
+            best, best_order = code, order
+            continue
+        # a tie: the automorphism best_order[k] -> order[k] joins its cycles
+        for a, b in zip(best_order, order):
+            a, b = root(a), root(b)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    orbits = tuple(root(x) for x in range(m.flag_count))
+    first = best_order[0]
+    starts = tuple(x for x, r in enumerate(orbits) if r == first)
+    return _CanonicalForm(_encode(best), starts, tuple(best_order), orbits)
 
 
 def _canonical_form(m: CombMap) -> _CanonicalForm:
@@ -232,22 +268,37 @@ def recognize_group(elements) -> str:
 def automorphism_group(m: CombMap) -> PermGroup:
     """The full automorphism group from the canonical-code scan.
 
-    Every code-minimizing start flag gives exactly one automorphism (the flag
-    permutation matching its traversal numbering to the reference one); the
-    group order is the number of such flags.  The vertex projection is
-    checked to be faithful; polyhedral maps never trip this.
+    Every code-minimizing start flag s gives exactly one automorphism, the
+    one carrying the first minimizing start to s; the group order is the
+    number of such flags.  An automorphism commutes with s0, s1 and s2, so
+    it is written out along the reference traversal, each flag's image
+    read from that of the earlier flag it was reached from, with no
+    traversal from s.  The vertex projection is checked to be faithful;
+    polyhedral maps never trip this.
     """
     form = _canonical_form(m)
+    order, vertex_of = form.order, m.vertex_of
+    # (flag, earlier flag, involution carrying the earlier one to it)
+    steps = []
+    reached = [False] * m.flag_count
+    reached[order[0]] = True
+    for fl in order:
+        for inv in (m.s0, m.s1, m.s2):
+            img = inv[fl]
+            if not reached[img]:
+                reached[img] = True
+                steps.append((img, fl, inv))
     elements = []
     vertex_elements = []
     seen_vertex = set()
     for s in form.starts:
-        order_s = _traverse(m, s)[1]
         perm = [0] * m.flag_count
+        perm[order[0]] = s
+        for fl, prev, inv in steps:
+            perm[fl] = inv[perm[prev]]
         vperm = [0] * m.f0
-        for fl, img in zip(form.order, order_s):
-            perm[fl] = img
-            vperm[m.vertex_of[fl]] = m.vertex_of[img]
+        for fl, img in enumerate(perm):
+            vperm[vertex_of[fl]] = vertex_of[img]
         elements.append(tuple(perm))
         vt = tuple(vperm)
         if vt in seen_vertex:

@@ -140,8 +140,9 @@ class VertexTypeSpec:
 def parse_type(text: str) -> VertexTypeSpec:
     """Parse bracket notation like ``[3^2,4^1,3^1,5^1]`` or a bare size list.
 
-    Exponent ``^1`` may be omitted; whitespace is ignored.  Raises
-    TypeSyntaxError / SizeTooSmall / DegreeTooSmall on bad input.
+    Exponent ``^1`` may be omitted; whitespace is ignored; sizes and
+    exponents are ASCII digits.  Raises TypeSyntaxError / SizeTooSmall /
+    DegreeTooSmall on bad input.
     """
     s = "".join(text.split())
     if not s:
@@ -160,7 +161,8 @@ def parse_type(text: str) -> VertexTypeSpec:
             base, _, exp = item.partition("^")
         else:
             base, exp = item, "1"
-        if not (base.isdigit() and exp.isdigit()):
+        # str.isdigit alone passes superscripts and other scripts' digits
+        if not (base.isascii() and exp.isascii() and base.isdigit() and exp.isdigit()):
             raise TypeSyntaxError(f"bad item {item!r} in {text!r}")
         p, n = int(base), int(exp)
         if n < 1:

@@ -8,6 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
+from semeq import enumerator, symmetry
 from semeq.enumerator import (
     CorruptCheckpointError,
     EnumOptions,
@@ -434,3 +435,67 @@ def test_fresh_first_honoured_in_unsplit_runs(census_35_4):
 def test_branch_order_rejected_in_split_runs(order, split):
     with pytest.raises(ValueError, match="subtree replay"):
         EnumOptions(**order, **split)
+
+
+class _RecordingTable(dict):
+    """A class table that counts the keys stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = 0
+
+    def __setitem__(self, key, value):
+        self.stored += 1
+        super().__setitem__(key, value)
+
+
+def test_search_scans_each_class_once(monkeypatch, census_35_4):
+    # 32 completions of 3 classes: each class is scanned by its first
+    # completion, and the other 29 are known from the class table
+    scans = []
+
+    def counting_scan(m):
+        scans.append(m)
+        return scan(m)
+
+    scan = symmetry._scan
+    monkeypatch.setattr(symmetry, "_scan", counting_scan)
+    r = enumerate_maps("[3^5,4^1]", 12, -1)
+    assert (r.stats.completions, len(r.maps), len(scans)) == (32, 3, 3)
+    assert r.codes == census_35_4.codes
+    assert [m.faces for m in r.maps] == [m.faces for m in census_35_4.maps]
+
+
+def test_class_table_scope(monkeypatch, tmp_path):
+    table = _RecordingTable()
+    monkeypatch.setattr(enumerator, "_classes", table)
+    # a witness search neither fills nor reads the table
+    assert exists_any("[3^5,4^1]", 12, -1) is not None
+    assert table.stored == 0
+    # a search fills it and empties it when it returns...
+    enumerate_maps("[3^5,4^1]", 12, -1)
+    assert table.stored > 0 and not table
+    # ...or raises: the last pending path is tampered, so the resume fills
+    # the table from the paths before it and then refuses the checkpoint
+    path = str(tmp_path / "ck.bin")
+    enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=1))
+    with open(path, "rb") as fh:
+        header, pending, maps, stats = _checkpoint_parse(fh.read())
+    pending[-1] = pending[-1] + (99,)
+    with open(path, "wb") as fh:
+        fh.write(_checkpoint_bytes(header, pending, maps, stats))
+    table.stored = 0
+    with pytest.raises(CorruptCheckpointError, match="does not exist"):
+        enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+    assert table.stored > 0 and not table
+
+
+@pytest.mark.parametrize("budget", [1, 2000])
+def test_resumed_run_returns_unsplit_maps(tmp_path, census_35_4, budget):
+    path = str(tmp_path / "ck.bin")
+    cut = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path,
+                                                          node_budget=budget))
+    assert not cut.complete
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+    assert r.complete and r.codes == census_35_4.codes
+    assert [dumps(m) for m in r.maps] == [dumps(m) for m in census_35_4.maps]

@@ -69,6 +69,21 @@ def test_loads_errors():
         loads('{"vertices": 2, "faces": [[1, 2]]}')  # face too short
 
 
+@pytest.mark.parametrize("text", [
+    "vertices \u00b2\nface 1 2 3\n",
+    "vertices \u0664\nface 1 2 3\nface 1 2 4\nface 1 3 4\nface 2 3 4\n",
+    "vertices 4\nface \u0661 2 3\nface 1 2 4\nface 1 3 4\nface 2 3 4\n",
+    "vertices 4\nface +1 2 3\nface 1 2 4\nface 1 3 4\nface 2 3 4\n",
+    "vertices 4\nface 1 2 3\nface 1 2 4\nface 1 3 4\nface 2 3 0_4\n",
+], ids=["superscript-count", "arabic-indic-count", "arabic-indic-label", "signed-label",
+        "underscore-label"])
+def test_loads_needs_ascii_digits(text):
+    # int() reads other scripts' digits, signs and underscores, and
+    # str.isdigit passes a superscript that int() then refuses
+    with pytest.raises(MapFileError):
+        loads(text)
+
+
 @pytest.mark.parametrize("doc", [
     '{"vertices": 4.9, "faces": [[1,2,3.7],[1,2,4],[1,3,4],[2,3,4]]}',
     '{"vertices": 4, "faces": [[1,2,3.0],[1,2,4],[1,3,4],[2,3,4]]}',

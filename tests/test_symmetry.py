@@ -220,3 +220,70 @@ def test_scan_matches_full_scan_oracle():
             for x in [base] + copies:
                 form = symmetry._scan(x)
                 assert (form.code, form.starts, form.order) == canonical_scan_full(x), name
+
+
+def shuffled(m, rng: random.Random):
+    """A copy of m with its vertices renamed and its faces reordered,
+    rotated and reversed, so that its flags are numbered afresh."""
+    copy = relabeled(face_list_of(m), rng)
+    faces = []
+    for f in copy.faces:
+        k = rng.randrange(len(f))
+        f = f[k:] + f[:k]
+        faces.append(f[::-1] if rng.random() < 0.5 else f)
+    rng.shuffle(faces)
+    return build_from_faces(FaceListMap(copy.vertex_count, tuple(faces)))
+
+
+def _scan_cases():
+    """Sphere maps with large groups, the chi = -1 census fixtures, and
+    shuffled copies of each."""
+    from semeq.enumerator import enumerate_maps
+
+    rng = random.Random(23)
+    bases = [enumerate_maps(t, n, 2).maps[0]
+             for t, n in [("[3^4]", 6), ("[4^3]", 8), ("[3^5]", 12), ("[5^3]", 20)]]
+    bases += [fixture_map(name) for name in fixture_names() if name.startswith("chi-1-")]
+    return [x for m in bases for x in [m] + [shuffled(m, rng) for _ in range(3)]]
+
+
+def test_pruned_scan_matches_full_scan():
+    replaced_after_tie = 0
+    for x in _scan_cases():
+        form = symmetry._scan(x)
+        assert (form.code, form.starts, form.order) == canonical_scan_full(x)
+        # the cases must include a least code so far that is tied, then
+        # beaten by a later start, or the orbits found before it go untested
+        best, tied = None, False
+        for start in range(x.flag_count):
+            code = symmetry._traverse(x, start)[0]
+            if best is None or code < best:
+                replaced_after_tie += tied
+                best, tied = code, False
+            elif code == best:
+                tied = True
+    assert replaced_after_tie > 0
+
+
+def test_scan_orbits_are_automorphism_orbits():
+    for x in _scan_cases():
+        group = automorphism_group(x)
+        want = tuple(min(g[fl] for g in group.elements) for fl in range(x.flag_count))
+        assert symmetry._scan(x).orbits == want
+
+
+def test_pruned_scan_skips_covered_starts(monkeypatch):
+    # the cube's 48 flags form one orbit: once a few ties have generated the
+    # group, every later start is skipped untraversed
+    traversed = []
+
+    def counting_traverse(m, start, bound=None):
+        traversed.append(start)
+        return traverse(m, start, bound)
+
+    traverse = symmetry._traverse
+    monkeypatch.setattr(symmetry, "_traverse", counting_traverse)
+    cube = fixture_map("cube")
+    form = symmetry._scan(cube)
+    assert cube.flag_count == len(form.starts) == 48
+    assert len(traversed) <= 8

@@ -48,6 +48,15 @@ def test_parse_errors():
         parse_type("[3,4]")
 
 
+@pytest.mark.parametrize("text", ["[3^\u00b2]", "[\u0663^2,4]", "[3^5,\uff14]", "[3^2,4^\u0661]"],
+                         ids=["superscript", "arabic-indic", "fullwidth", "arabic-indic-exp"])
+def test_parse_non_ascii_digits_rejected(text):
+    # str.isdigit passes these; int() refuses the superscript and silently
+    # reads the others as ASCII digits
+    with pytest.raises(TypeSyntaxError):
+        parse_type(text)
+
+
 def test_normalize_cycle():
     assert normalize_cycle((5, 4, 4, 4)) == (4, 4, 4, 5)
     assert normalize_cycle((3, 5, 4, 5)) == (3, 5, 4, 5)

@@ -3,8 +3,8 @@
 A change that must leave the search tree alone (a faster kernel, a faster
 canonical scan) should leave every line of this output as it is.  A change
 that reshapes the tree but not its results (another branching rule) moves
-rows, checkpoint, resume and witness, and leaves classify, maps and census
-as they are:
+rows, checkpoint, resume, scans and witness, and leaves classify, maps and
+census as they are:
 
   classify    the (n, cycle, face_counts, filters_passed) rows of
               admissible_types for chi = -1 ... -4 under the default options,
@@ -25,6 +25,10 @@ as they are:
               content give the same line
   resume      each of those cuts resumed to completion: complete, stats
               and codes
+  scans       the canonical scan (code, minimizing starts, traversal order)
+              and the automorphism group elements of every map the default
+              run of those rows returns, and of every fixture, its
+              truncation and its rectification
   witness     the face lists and canonical digests of the fresh_first
               witnesses of the four existence rows
   census      stdout of `semeq census --chi -1 --json`
@@ -50,9 +54,12 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from semeq.enumerator import EnumOptions, _checkpoint_parse, enumerate_maps, exists_any  # noqa: E402
+from semeq.fixtures import fixture_map, fixture_names  # noqa: E402
 from semeq.mapcore import FaceListMap  # noqa: E402
 from semeq.mapfile import dumps  # noqa: E402
-from semeq.symmetry import canonical_code, canonical_order  # noqa: E402
+from semeq.symmetry import (_canonical_form, automorphism_group, canonical_code,  # noqa: E402
+                            canonical_order)
+from semeq.transforms import rectify, truncate  # noqa: E402
 from semeq.typecalc import FilterOptions, admissible_types  # noqa: E402
 
 OPTION_SETS = {
@@ -95,8 +102,9 @@ def _canonical_file(m) -> str:
     return dumps(FaceListMap(m.f0, tuple(sorted(faces))))
 
 
-def rows_and_maps_sections(rows) -> tuple[str, str]:
-    out, maps = [], []
+def rows_and_maps_sections(rows) -> tuple[str, str, list]:
+    """The rows and maps lines, and the maps of the default runs."""
+    out, maps, default = [], [], []
     for name, kw in OPTION_SETS.items():
         for pair in rows:
             row = (str(pair.type), pair.n)
@@ -109,7 +117,22 @@ def rows_and_maps_sections(rows) -> tuple[str, str]:
             if "node_budget" not in kw:
                 maps.append([name, str(pair.type), pair.n, codes,
                              [_canonical_file(m) for m in r.maps]])
-    return _digest(out), _digest(maps)
+            if not kw:
+                default += r.maps
+    return _digest(out), _digest(maps), default
+
+
+def scans_section(found) -> str:
+    maps = list(found)
+    for name in fixture_names():
+        m = fixture_map(name)
+        maps += [m, truncate(m), rectify(m)]
+    out = []
+    for m in maps:
+        form = _canonical_form(m)
+        out.append([form.code.hex(), form.starts, form.order,
+                    automorphism_group(m).elements])
+    return _digest(out)
 
 
 def _faces(m):
@@ -152,9 +175,10 @@ def census_section() -> str:
 def main() -> None:
     print("classify", classify_section(), flush=True)
     rows = [p for p in admissible_types(-1) if p.n <= 24]
-    rows_line, maps_line = rows_and_maps_sections(rows)
+    rows_line, maps_line, found = rows_and_maps_sections(rows)
     print("rows", rows_line, flush=True)
     print("maps", maps_line, flush=True)
+    print("scans", scans_section(found), flush=True)
     checkpoint, resume = checkpoint_and_resume_sections(rows)
     print("checkpoint", checkpoint, flush=True)
     print("resume", resume, flush=True)
