@@ -35,11 +35,16 @@ from .typecalc import FilterOptions, admissible_types, parse_type
 from .transforms import NotPolyhedralError, rectify as rectify_map, truncate as truncate_map
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _integer(low: int | None = None):
+    """An argparse type: ASCII digits with an optional leading minus, read
+    as an integer no smaller than low when low is given.  int() alone also
+    reads other scripts' digits, a plus sign, underscores and spaces."""
     def integer(text: str) -> int:
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return integer
@@ -240,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, enum=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if enum:
-            p.add_argument("--threads", type=_int_at_least(1), default=1,
+            p.add_argument("--threads", type=_integer(1), default=1,
                            help="worker processes")
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint file path (census: PATH.<type>.n<n> per row)")
-            p.add_argument("--budget", type=_int_at_least(0), default=None, help="node budget")
+            p.add_argument("--budget", type=_integer(0), default=None, help="node budget")
             p.add_argument("--long", action="store_true",
                            help="allow long runs (n >= 40)")
 
@@ -253,19 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep types with fewer than 3 faces of some size")
         p.add_argument("--no-closed-star-filter", action="store_true",
                        help="keep types whose closed star exceeds the vertex count")
-        p.add_argument("--min-vertices", type=_int_at_least(1), default=7,
+        p.add_argument("--min-vertices", type=_integer(1), default=7,
                        help="minimum vertex count (default 7)")
 
     p = sub.add_parser("classify", help="admissible (n, type) pairs")
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--chi", type=_integer(), required=True)
     filter_flags(p)
     common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="all maps of one type up to isomorphism")
     p.add_argument("--type", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--n", type=_integer(), required=True)
+    p.add_argument("--chi", type=_integer(), required=True)
     p.add_argument("--emit", default=None, help="write maps to EMIT-<i>.map")
     common(p, enum=True)
     p.set_defaults(func=_cmd_enumerate)
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gi", help="same-link-intersection graph")
     p.add_argument("mapfile")
-    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--i", type=_integer(), required=True)
     common(p)
     p.set_defaults(func=_cmd_gi)
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: _cmd_transform(a, rectify_map))
 
     p = sub.add_parser("census", help="full census for one Euler characteristic")
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--chi", type=_integer(), required=True)
     filter_flags(p)
     common(p, enum=True)
     p.set_defaults(func=_cmd_census)

@@ -11,8 +11,8 @@ fresh label, which together with the fixed root star eliminates label
 symmetry.  The search still completes each isomorphism class once for every
 flag rooting it in that position, so completions are collected by canonical
 code, and a class table spares the scan: the first completion of a class is
-scanned, and a later one is known by the traversal code of one of its flags
-(_class_code).
+scanned and kept, and a later one is known by the traversal code of one of
+its flags (_class_code) and dropped.
 
 State is mutated in place with an undo journal.  Each candidate extension
 of the open face is tested before it is applied: the checks are pure
@@ -69,8 +69,8 @@ _CKPT_FORMAT = "semeq-checkpoint/3"
 _SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
 _SAVE_EVERY_S = 1.0  # least seconds between checkpoint rewrites mid-run
 
-# the class table of the _drive call running in this process (see
-# _class_code): code of a flag -> canonical code of its map
+# the class table of the _drive call running in this process, the only one
+# a search uses (see _class_code): code of a flag -> canonical code of its map
 _classes: dict[bytes, bytes] = {}
 
 
@@ -81,7 +81,8 @@ class InconsistentParametersError(ValueError):
 class CorruptCheckpointError(ValueError):
     """Checkpoint is not a format-3 JSON document of the expected layout, was
     written for other parameters, holds a face list that does not build into
-    a map, or records a subtree path the search does not have."""
+    a polyhedral map of the type, or records a subtree path the search does
+    not have."""
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,9 @@ class EnumerationStats:
 @dataclass(frozen=True)
 class EnumerationResult:
     """maps[i] has canonical code codes[i], in code order.  Each map is the
-    last copy of its class the search completed, which need not be the copy
-    it scanned, so a map may come without a cached canonical scan; the first
-    canonical_code or automorphism_group call on it runs the scan."""
+    first completion of its class, the copy the search scanned, and it
+    carries that scan: canonical_code and automorphism_group on it scan
+    nothing."""
 
     maps: tuple[CombMap, ...]
     codes: tuple[bytes, ...]
@@ -727,9 +728,21 @@ class _Search:
 # -- DFS driver -------------------------------------------------------------
 
 
-def _class_code(m: CombMap, cycle: tuple[int, ...], classes: dict) -> bytes:
-    """The canonical code of m, scanning m only when no map of its class
-    is in the class table ``classes``.
+def _rejection(m: CombMap, cycle: tuple[int, ...]) -> Optional[str]:
+    """None when m is a polyhedral map of the type cycle; otherwise the
+    EnumerationStats count that records why it is not.  The check that a
+    completion and a checkpoint map both pass before they are collected."""
+    if not validate_polyhedral(m).ok:
+        return "rejected_nonpolyhedral"
+    t = semi_equivelar_type(m)
+    if t is None or t.cycle != cycle:
+        return "rejected_wrong_type"
+    return None
+
+
+def _class_code(m: CombMap, cycle: tuple[int, ...]) -> bytes:
+    """The canonical code of m, a map of the type cycle, scanning m only
+    when no map of its class is in the class table _classes.
 
     The table maps the code of every flag in a face of one size, the size
     on the fewest flags, to the canonical code of its map (symmetry's
@@ -744,23 +757,24 @@ def _class_code(m: CombMap, cycle: tuple[int, ...], classes: dict) -> bytes:
     faces, face_of = m.faces, m.face_of
     flags = [fl for fl in range(m.flag_count) if len(faces[face_of[fl]]) == size]
     key = _flag_code(m, flags[0])
-    code = classes.get(key)
+    code = _classes.get(key)
     if code is None:
-        code = classes[key] = canonical_code(m).data
+        code = _classes[key] = canonical_code(m).data
         orbits = _canonical_form(m).orbits
         for fl in flags:
             if orbits[fl] == fl and fl != orbits[flags[0]]:
-                classes[_flag_code(m, fl)] = code
+                _classes[_flag_code(m, fl)] = code
     return code
 
 
 def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
-                 classes: Optional[dict] = None) -> bool:
+                 first_only: bool = False) -> bool:
     """Collect the completed state if it is a polyhedral map of the type,
-    as the CombMap validated here, under its canonical code.  With a class
-    table (see _class_code) the map is scanned only when it is the first of
-    its class, so it may come without a cached scan; without one, it is
-    always scanned.  The last copy of a class replaces the earlier ones."""
+    as the CombMap validated here, under its canonical code.  The first
+    copy of a class is kept, and it carries its scan: it misses the class
+    table _classes (see _class_code), which scans it, while a later copy
+    is a hit and is dropped unscanned.  A first_only search, which keeps a
+    single map, scans it and leaves the table alone."""
     stats.completions += 1
     if (
         st.labels_used != st.n
@@ -770,23 +784,19 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
         stats.rejected_wrong_size += 1
         return False
     m = build_from_faces(FaceListMap(st.n, st.fpath))
-    if not validate_polyhedral(m).ok:
-        stats.rejected_nonpolyhedral += 1
+    why = _rejection(m, st.cycle)
+    if why is not None:
+        setattr(stats, why, getattr(stats, why) + 1)
         return False
-    t = semi_equivelar_type(m)
-    if t is None or t.cycle != st.cycle:
-        stats.rejected_wrong_type += 1
-        return False
-    code = canonical_code(m).data if classes is None else _class_code(m, st.cycle, classes)
-    collector[code] = m
+    code = canonical_code(m).data if first_only else _class_code(m, st.cycle)
+    collector.setdefault(code, m)
     return True
 
 
 def _run(st: _Search, stats: EnumerationStats, collector: dict,
          prefix: tuple[int, ...] = (), node_quota: Optional[int] = None,
          rng=None, split_depth: Optional[int] = None,
-         frontier: Optional[list] = None, first_only: bool = False,
-         classes: Optional[dict] = None) -> bool:
+         frontier: Optional[list] = None, first_only: bool = False) -> bool:
     """Depth-first search from the current state.
 
     ``prefix`` replays recorded child indices for the first levels (the
@@ -797,8 +807,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     ``split_depth`` is set, subtrees rooted at that depth are appended to
     ``frontier`` instead of being explored.  Returns False when the subtree
     was cut before it was finished: the node quota ran out, or
-    ``first_only`` collected a map.  ``classes`` is the class table that
-    completions are looked up in (see _on_complete).
+    ``first_only`` collected a map.
 
     find_slot filters an extension node's candidates: each candidate of the
     chosen end that fails _append_ok counts one ``constraint`` prune when
@@ -829,7 +838,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             if kind == "complete" or (track and depth >= split_depth):
                 if kind != "complete":
                     frontier.append(path)
-                elif _on_complete(st, stats, collector, classes) and first_only:
+                elif _on_complete(st, stats, collector, first_only) and first_only:
                     cut = True
                 if marks:
                     st.undo_to(marks.pop())
@@ -910,7 +919,7 @@ def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> l
     while True:
         frontier: list[tuple[int, ...]] = []
         tmp = EnumerationStats()
-        _run(st, tmp, collector, split_depth=depth, frontier=frontier, classes=_classes)
+        _run(st, tmp, collector, split_depth=depth, frontier=frontier)
         if len(frontier) >= _SPLIT_TARGET or not frontier:
             stats.merge(tmp)
             return frontier
@@ -927,8 +936,7 @@ def _run_path(task) -> tuple:
     rng = None if seed is None else random.Random(seed)
     found, stats = {}, EnumerationStats()
     finished = _run(_fresh_search(*params), stats, found, prefix=path,
-                    node_quota=quota, rng=rng, first_only=first_only,
-                    classes=None if first_only else _classes)
+                    node_quota=quota, rng=rng, first_only=first_only)
     return found, stats, finished
 
 
@@ -951,7 +959,9 @@ def _count(x) -> int:
 
 def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
                       ) -> tuple[dict, list, dict, EnumerationStats]:
-    """Decode a checkpoint; each map is rebuilt and its code recomputed.
+    """Decode a checkpoint; each map is rebuilt, passes the check a
+    completion passes (_rejection), and has its code recomputed, which
+    scans it.  The first copy of a code is kept.
 
     When ``expected`` is given, the header must equal it, and this is checked
     before any map is rebuilt."""
@@ -971,8 +981,13 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
             raise CorruptCheckpointError("checkpoint was written for different parameters")
         pending = [tuple(_count(i) for i in path) for path in doc["pending"]]
         collector = {}
+        cycle = tuple(header["cycle"])
         for faces in doc["maps"]:
             m = build_from_faces(FaceListMap(header["n"], faces))
+            why = _rejection(m, cycle)
+            if why is not None:
+                raise CorruptCheckpointError(f"a stored map is not a polyhedral map of "
+                                             f"type {cycle} ({why})")
             collector.setdefault(canonical_code(m).data, m)
         st = doc["stats"]
         stats = EnumerationStats(
@@ -1028,6 +1043,12 @@ def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
     return None
 
 
+def _keep_first(collector: dict, found: dict) -> None:
+    """Add the maps of a later task, keeping the copy collector holds."""
+    for code, m in found.items():
+        collector.setdefault(code, m)
+
+
 def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
            collector: dict, stats: EnumerationStats,
            first_only: bool = False) -> bool:
@@ -1047,9 +1068,13 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
     node once.  Returns whether the whole tree was searched.  The caller
     has run _diagnostic, so every task's root star assembles.
 
-    The class table (see _class_code) lives for this call: the tasks run in
-    this process share it, each pool worker fills its own copy, and it is
-    emptied when the call returns or raises.  A first_only run fills none.
+    The first copy of each class in queue order is kept.  A pool worker
+    takes its tasks in queue order, so that copy misses the worker's class
+    table and arrives with the scan made there.  The class table (see
+    _class_code) lives for this call: a checkpoint's maps enter it before
+    any pool forks, the tasks run in this process share it, each pool
+    worker fills its own copy, and it is emptied when the call returns or
+    raises.  A first_only run fills none.
     """
     try:
         split = opts.threads > 1 or opts.checkpoint_path is not None
@@ -1059,7 +1084,10 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
         if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
             with open(opts.checkpoint_path, "rb") as fh:
                 _, queue, saved_maps, saved_stats = _checkpoint_parse(fh.read(), header)
-            collector.update(saved_maps)
+            for m in saved_maps.values():
+                # scanned by _checkpoint_parse: this adds its keys, no scan
+                _class_code(m, spec.cycle)
+            _keep_first(collector, saved_maps)
             stats.merge(saved_stats)
         else:
             queue = _expand_frontier(_fresh_search(*params), collector, stats) if split else [()]
@@ -1082,7 +1110,7 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
                 if not finished:
                     cut_maps, cut_stats = found, part
                     break
-                collector.update(found)
+                _keep_first(collector, found)
                 stats.merge(part)
                 done += 1
                 if opts.checkpoint_path and time.monotonic() - last_save >= _SAVE_EVERY_S:
@@ -1090,7 +1118,7 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
                     last_save = time.monotonic()
         if opts.checkpoint_path:
             _save_checkpoint(opts.checkpoint_path, header, queue[done:], collector, stats)
-        collector.update(cut_maps)
+        _keep_first(collector, cut_maps)
         stats.merge(cut_stats)
         return done == len(queue)
     finally:
@@ -1104,8 +1132,9 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     The parameters must pass _diagnostic, where the rules decided before
     any search live; otherwise the result is empty, complete, and carries
     the diagnostic (no such map can exist).  complete=False only when a node
-    budget was exhausted.  The maps are those the search validated (see
-    EnumerationResult: a map may come without a cached canonical scan).
+    budget was exhausted.  Each map is the first completion of its class
+    that the search validated, and it carries its canonical scan (see
+    EnumerationResult).
     """
     opts = opts or EnumOptions()
     spec = _normalize_type(t)

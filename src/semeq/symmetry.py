@@ -57,11 +57,17 @@ class CanonicalCode:
 
 
 def _encode(code: list[int]) -> bytes:
-    if max(code, default=0) < 255:
+    """One byte per entry while every entry is below 255, else two bytes
+    each, big-endian, or as many as the largest entry needs when two do
+    not hold it.  The largest entry is the flag count less one, so maps
+    with the same flag count share a width."""
+    top = max(code, default=0)
+    if top < 255:
         return bytes(code)
+    width = 2 if top < 1 << 16 else (top.bit_length() + 7) // 8
     out = bytearray()
     for x in code:
-        out += x.to_bytes(2, "big")
+        out += x.to_bytes(width, "big")
     return bytes(out)
 
 

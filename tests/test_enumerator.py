@@ -9,6 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from semeq import enumerator, symmetry
+from semeq.census import analyze_map
 from semeq.enumerator import (
     CorruptCheckpointError,
     EnumOptions,
@@ -23,7 +24,8 @@ from semeq.enumerator import (
 from semeq.mapcore import euler_characteristic, semi_equivelar_type, validate_polyhedral
 from semeq.mapfile import dumps
 from semeq.symmetry import canonical_code, isomorphic
-from semeq.typecalc import VertexTypeSpec, face_counts, normalize_cycle, parse_type
+from semeq.typecalc import (VertexTypeSpec, admissible_types, face_counts, normalize_cycle,
+                            parse_type)
 
 
 SPHERE_CASES = [
@@ -204,6 +206,12 @@ def test_format2_checkpoint_rejected(tmp_path, complete_checkpoint):
         enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
 
 
+# the icosahedron: 12 vertices, like a [3^5,4^1]/12 map, but type [3^5]
+ICOSAHEDRON = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2], [2, 3, 7], [3, 4, 8],
+               [4, 5, 9], [5, 6, 10], [6, 2, 11], [3, 8, 7], [4, 9, 8], [5, 10, 9],
+               [6, 11, 10], [2, 7, 11], [12, 7, 8], [12, 8, 9], [12, 9, 10], [12, 10, 11],
+               [12, 11, 7]]
+
 # each edit of a finished checkpoint, and the message its resume must give
 MALFORMED = {
     "not-utf8": (lambda doc: b'{"format": "\xff"}', "undecodable"),
@@ -219,6 +227,10 @@ MALFORMED = {
     # map would fail to build, yet the message names the parameters
     "other-n": (lambda doc: {**doc, "header": {**doc["header"], "n": 13}},
                 "different parameters"),
+    # a stored map passes the checks a completion passes, or the resume
+    # would return it as a fourth class
+    "wrong-type": (lambda doc: {**doc, "maps": doc["maps"] + [ICOSAHEDRON]},
+                   "not a polyhedral map of type"),
 }
 
 
@@ -499,3 +511,70 @@ def test_resumed_run_returns_unsplit_maps(tmp_path, census_35_4, budget):
     r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
     assert r.complete and r.codes == census_35_4.codes
     assert [dumps(m) for m in r.maps] == [dumps(m) for m in census_35_4.maps]
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The maps symmetry._scan runs on, in call order."""
+    seen = []
+    scan = symmetry._scan
+
+    def counting_scan(m):
+        seen.append(m)
+        return scan(m)
+
+    monkeypatch.setattr(symmetry, "_scan", counting_scan)
+    return seen
+
+
+def test_census_rows_scan_each_class_once(scans):
+    # the search keeps the copy of each class it scanned, so analysis of
+    # the returned maps scans nothing more: 7 classes, 7 scans
+    pairs = [p for p in admissible_types(-1) if p.n <= 21]
+    maps = [m for p in pairs for m in enumerate_maps(p.type, p.n, -1).maps]
+    for m in maps:
+        analyze_map(m)
+    assert (len(pairs), len(maps), len(scans)) == (8, 7, 7)
+
+
+def test_resumed_run_scans_each_class_once(tmp_path, scans, census_35_4):
+    # the cut run finds no class; the resume scans the 3 classes once each,
+    # in the search, and the analysis reuses those scans
+    path = str(tmp_path / "ck.json")
+    cut = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path,
+                                                          node_budget=2000))
+    assert not cut.complete
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+    for m in r.maps:
+        analyze_map(m)
+    assert r.complete and r.codes == census_35_4.codes
+    assert len(scans) == 3
+
+
+def test_checkpoint_maps_join_class_table(tmp_path, scans, census_35_4):
+    # the cut run saves all 3 classes with 67 paths still pending: the load
+    # scans each saved map once, and the classes enter the class table, so
+    # their later completions and the analysis scan nothing more
+    path = str(tmp_path / "ck.json")
+    enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=20000))
+    with open(path, "rb") as fh:
+        _, pending, saved, _ = _checkpoint_parse(fh.read())
+    assert (len(saved), len(pending)) == (3, 67)
+    scans.clear()
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+    for m in r.maps:
+        analyze_map(m)
+    assert r.complete and r.codes == census_35_4.codes
+    assert len(scans) == 3
+
+
+def test_pooled_maps_carry_their_scan(scans, census_35_4):
+    # each map is scanned in the worker that completed it and arrives with
+    # its scan, so the calling process scans nothing
+    r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(threads=2))
+    for m in r.maps:
+        analyze_map(m)
+    assert r.codes == census_35_4.codes
+    assert all(m._canon is not None for m in r.maps)
+    assert scans == []
+

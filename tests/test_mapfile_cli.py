@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CUBE, TETRAHEDRON, checkout_env
 
+from semeq.cli import build_parser, main
 from semeq.mapcore import build_from_faces, face_list_of
 from semeq.mapfile import MapFileError, dumps, loads
 from semeq.symmetry import canonical_code, isomorphic
@@ -255,6 +256,31 @@ def test_cli_negative_budget_rejected(command):
     proc = run_cli(*command, "--budget", "-7")
     assert proc.returncode == 2
     assert "--budget" in proc.stderr
+
+
+# each integer option after a command that parses without it
+INTEGER_OPTIONS = {
+    "--chi": ["classify", "--chi", "-1"],
+    "--n": ["enumerate", "--type", "[3^3]", "--n", "4", "--chi", "2"],
+    "--i": ["gi", "unread.map", "--i", "4"],
+    "--threads": ["census", "--chi", "-1"],
+    "--budget": ["census", "--chi", "-1"],
+    "--min-vertices": ["classify", "--chi", "-1"],
+}
+
+
+@pytest.mark.parametrize("text", ["١", "-١", "٣٠", "+1", "1_0", " 1"],
+                         ids=["arabic-indic", "arabic-indic-negative", "arabic-indic-30",
+                              "plus", "underscore", "space"])
+@pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+def test_cli_integer_options_need_ascii_digits(option, text, capsys):
+    # int() reads other scripts' digits, a plus sign, underscores and spaces
+    command = INTEGER_OPTIONS[option]
+    build_parser().parse_args(command)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, option, text])
+    assert exc.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
 
 
 def test_cli_verify_has_no_json_flag(cube_file):

@@ -287,3 +287,43 @@ def test_pruned_scan_skips_covered_starts(monkeypatch):
     form = symmetry._scan(cube)
     assert cube.flag_count == len(form.starts) == 48
     assert len(traversed) <= 8
+
+
+@pytest.mark.parametrize("code,data", [
+    ([], b""),
+    ([0, 254], b"\x00\xfe"),
+    ([0, 255], b"\x00\x00\x00\xff"),
+    ([1, 65535], b"\x00\x01\xff\xff"),
+    ([1, 65536], b"\x00\x00\x01\x01\x00\x00"),
+    ([2, 1 << 24], b"\x00\x00\x00\x02\x01\x00\x00\x00"),
+], ids=["empty", "one-byte", "two-byte-from-255", "two-byte-max", "three-byte", "four-byte"])
+def test_encode_widths_pinned(code, data):
+    # one byte below 255 and two below 65,536 are the widths every stored
+    # digest was made with; only a larger entry widens the code
+    assert symmetry._encode(code) == data
+
+
+def quad_torus(k: int) -> FaceListMap:
+    """The k x k grid of squares with opposite sides glued, {4,4}_(k,0)."""
+    def v(i, j):
+        return (i % k) * k + j % k + 1
+
+    return FaceListMap(k * k, tuple((v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1))
+                                    for i in range(k) for j in range(k)))
+
+
+def test_canonical_code_past_two_byte_entries():
+    # 91 x 91 squares give 66,248 flags, so the largest code entry needs
+    # three bytes; the code, the isomorphism test and dumps still work
+    flm = quad_torus(91)
+    m = build_from_faces(flm)
+    assert m.flag_count == 66248
+    data = canonical_code(m).data
+    assert len(data) == 3 * 3 * m.flag_count
+    other = build_from_faces(relabeled(flm, random.Random(91)))
+    assert canonical_code(other).data == data
+    bijection = isomorphic(m, other)
+    assert bijection is not None and len(set(bijection.values())) == flm.vertex_count
+    assert dumps(m).startswith("vertices 8281\nface ")
+    # the map is regular: every flag starts the least code
+    assert len(symmetry._canonical_form(m).starts) == m.flag_count

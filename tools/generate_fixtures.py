@@ -2,8 +2,15 @@
 
 Sphere and torus references are built from hand face lists or transforms;
 the chi = -1 fixtures are produced by the enumerator and frozen together
-with their canonical-code digests in MANIFEST.json.  Rerunning this script
-must reproduce byte-identical files.
+with their canonical-code digests in MANIFEST.json.  A rerun reproduces
+MANIFEST.json and the sphere and torus files byte for byte.  A chi = -1
+file holds the labelled copy of its class that the search returns, so a
+rerun may write another labelling of the same map: the digest in
+MANIFEST.json stays, the face list in the file changes.  The committed
+chi = -1 files hold copies an earlier enumerator returned, the last
+completion of each class where the enumerator now returns the first, so a
+rerun rewrites all 11 of them; they are kept, since the benchmark reads
+them.
 
 Usage: python tools/generate_fixtures.py [--skip-24]
 """
