@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .enumerator import EnumOptions, enumerate_maps
 from .mapcore import CombMap, surface_signature
-from .symmetry import GiGraph, _link_intersections, automorphism_group, canonical_code
+from .symmetry import GiGraph, _group_summary, _link_intersections, canonical_code
 from .typecalc import AdmissiblePair, FilterOptions, admissible_types
 
 __all__ = ["CENSUS_SCHEMA_VERSION", "LONG_RUN_VERTEX_COUNT", "analyze_map",
@@ -32,8 +32,7 @@ LONG_RUN_VERTEX_COUNT = 40
 
 def analyze_map(m: CombMap) -> dict:
     """Label-free summary of one map: group data, orbits, link-graph data."""
-    group = automorphism_group(m)
-    orbits = group.vertex_orbits()
+    order, structure, orbits = _group_summary(m)
     chi, orientable, genus = surface_signature(m)
     # every nonempty G_i from one pass: vertex pairs bucketed by |L(a) & L(b)|
     gi_edges: dict[int, list[tuple[int, int]]] = {}
@@ -54,8 +53,8 @@ def analyze_map(m: CombMap) -> dict:
         "orientable": orientable,
         "euler_genus": genus,
         "canonical_digest": canonical_code(m).digest(),
-        "aut_order": group.order,
-        "aut_structure": group.structure,
+        "aut_order": order,
+        "aut_structure": structure,
         "orbit_count": len(orbits),
         "orbit_sizes": sorted(len(o) for o in orbits),
         "vertex_transitive": len(orbits) == 1,

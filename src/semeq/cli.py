@@ -30,7 +30,7 @@ from .mapcore import (
     validate_polyhedral,
 )
 from .mapfile import MapFileError, dumps as dump_map, read_map_file
-from .symmetry import automorphism_group, gi_graph, isomorphic
+from .symmetry import _group_summary, gi_graph, isomorphic
 from .typecalc import FilterOptions, admissible_types, parse_type
 from .transforms import NotPolyhedralError, rectify as rectify_map, truncate as truncate_map
 
@@ -157,14 +157,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     m = _load_map(args.mapfile)
-    g = automorphism_group(m)
-    orbits = g.vertex_orbits()
+    order, structure, orbits = _group_summary(m)
     if args.json:
         print(
             json.dumps(
                 {
-                    "order": g.order,
-                    "structure": g.structure,
+                    "order": order,
+                    "structure": structure,
                     "orbits": [list(o) for o in orbits],
                     "vertex_transitive": len(orbits) == 1,
                 },
@@ -172,7 +171,7 @@ def _cmd_aut(args) -> int:
             )
         )
     else:
-        print(f"|Aut| = {g.order} ({g.structure})")
+        print(f"|Aut| = {order} ({structure})")
         print(f"vertex orbits ({len(orbits)}): {orbits}")
         print(f"vertex_transitive={len(orbits) == 1}")
     return 0

@@ -14,26 +14,31 @@ code, and a class table spares the scan: the first completion of a class is
 scanned and kept, and a later one is known by the traversal code of one of
 its flags (_class_code) and dropped.
 
-State is mutated in place with an undo journal.  Each candidate extension
-of the open face is tested before it is applied: the checks are pure
-functions of the state and the candidate, so the many candidates that fail
-cost no journal entries and no undo.  The open face can grow at either end,
-and a node branches on the end with fewer passing candidates (fail first):
-the end with the shorter raw list is filtered first, and the other end is
-counted only up to that number.  The choice depends on the state alone and
-every completion passes the checks at either end, so the search stays
-exhaustive.  Every vertex fan is kept as a table of its open arcs, keyed by
-end neighbour, each entry holding the arc's other end and the word of its
-face sizes.  A new corner joins at most two arcs, so a fan check is a few
-lookups and one set lookup among the words of the type cycle, with no walk
-around the fan; its verdict for the labels that end no arc is the same, so
-it is taken once per end filtered.  Candidate lists are plain labels, read
-from sets of saturated neighbours (edges with two faces); a label is fresh
-exactly when it is the next unused one.  The edge and face-pair tables are
-flat lists indexed by one integer per vertex pair or face pair, so no
-lookup builds a tuple key.  The state stores each fact once: whether a face
-or a fan is closed is read from its path length or corner count, not kept
-beside them.  Every prune is a necessary
+State is mutated in place with an undo journal of one record per applied
+step, which carries the undo data of every change the step made, so a step
+is undone by one pop (a trail, as in reversible backtracking).  Each
+candidate extension of the open face is tested before it is applied: the
+checks are pure functions of the state and the candidate, so the many
+candidates that fail cost no journal record and no undo.  The open face can
+grow at either end, and a node branches on the end with fewer passing
+candidates (fail first): the end with fewer raw candidates is filtered
+first, and the other end is counted only up to that number.  The choice
+depends on the state alone and every completion passes the checks at either
+end, so the search stays exhaustive.  Every vertex fan is kept as a table of
+its open arcs, keyed by end neighbour, each entry holding the arc's other
+end and the word of its face sizes.  A new corner joins at most two arcs, so
+a fan check is a few lookups and one set lookup among the words of the type
+cycle, with no walk around the fan; its verdict for the labels that end no
+arc is the same, so it is taken once per end filtered, and when it is False
+the fan is forced and only the labels that end one of its arcs are tried.
+The raw candidates of an end are a set of plain labels, built by set
+operations: the labels whose fan is still open (a set kept as corners close
+and labels are taken) less the path and the end's saturated neighbours
+(edges with two faces), plus the next unused label, which is the fresh one.
+The edge and face-pair tables are flat lists indexed by one integer per
+vertex pair or face pair, so no lookup builds a tuple key.  The state stores
+each fact once: whether a face or a fan is closed is read from its path
+length or corner count, not kept beside them.  Every prune is a necessary
 condition (edge used by at most two faces, the polyhedral face-intersection
 rules, partial fans embedding into the type cycle, face and label budgets),
 hence the search is exhaustive: it visits a superset of every map of the
@@ -198,24 +203,35 @@ class _Search:
     per vertex or face pair, so a lookup builds no key.  The open face is
     always the newest, so every pair it forms has it as f.
     ``saturated[v]`` holds the neighbours u whose edge {v, u} carries two
-    faces, kept by _put_edge and its undo.  ``words`` holds every run of 1
-    to d consecutive sizes around the type cycle, read in either direction,
-    one character per size; a word of at most d sizes embeds in the cycle
-    exactly when it is in the set.
+    faces, kept by _put_edge and its undo.  ``open`` holds the labels up to
+    labels_used whose fan is still open (fewer than d corners): a label
+    joins when it is taken fresh and leaves with its d-th corner.  seed
+    starts it as the root star's labels, and vertex 1 leaves when the star
+    closes, so during the search it is {2..labels_used} less the closed
+    fans.  ``words`` holds every run of 1 to d consecutive sizes around the
+    type cycle, read in either direction, one character per size; a word of
+    at most d sizes embeds in the cycle exactly when it is in the set.
 
     Some facts are read, not stored.  A face is closed exactly when its
-    path holds fsize vertices, since _close_face runs in the step that
-    fills the path, and only the last face can be open.  A fan is closed
-    exactly when it has d corners, since _validate_vertex refuses a d-th
-    corner that does not close the cycle.  The multiplicity of a size in
-    the type is counted in ``cycle`` when a size runs out.
+    path holds fsize vertices, since _append_vertex closes it in the step
+    that fills the path, and only the last face can be open.  A fan is
+    closed exactly when it has d corners, since _validate_vertex refuses a
+    d-th corner that does not close the cycle.  The multiplicity of a size
+    in the type is counted in ``cycle`` when a size runs out.
 
     find_slot gives the next node as ("extend", fid, rejected, children),
     ("start", v, x, sizes) or ("complete", None, None, ()).  The children of
     an extension node are the candidate labels that pass _append_ok at the
     chosen end of the open face, in branching order, with that end
     turned last in the path (a journaled reversal); rejected counts the
-    candidates of that end that failed.
+    candidates of that end that failed, raw count less children.
+
+    The journal holds one record per applied step: (0, fid, y, fresh, edge
+    key, corner) for an extension, with the closing edge key and the
+    corners at y and at the first vertex appended when the step closes
+    the face; (1, fid, x) for a face begun at x, which the extension by
+    its second vertex follows; (7, fid) for a reversed path.  The mutators
+    return their undo data, and undo_to unwinds each record in one pass.
     """
 
     def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
@@ -244,6 +260,7 @@ class _Search:
         self.corner_count = [0] * (n + 1)
         self.ends: list[dict[int, tuple[int, str]]] = [dict() for _ in range(n + 1)]
         self.labels_used = 0
+        self.open: set[int] = set()
         self.journal: list[tuple] = []
 
     # -- journal ----------------------------------------------------------
@@ -252,56 +269,75 @@ class _Search:
         return len(self.journal)
 
     def undo_to(self, mark: int) -> None:
+        """Unwind the journal to mark, one record per applied step, each
+        undone in the reverse order of its changes."""
         j = self.journal
-        fpath, edge_faces, pv = self.fpath, self.edge_faces, self.pair_verts
+        fpath = self.fpath
+        undo_edge, undo_corner = self._undo_edge, self._undo_corner
         while len(j) > mark:
             op = j.pop()
             tag = op[0]
-            if tag == 0:  # vertex appended to a face
-                fpath[op[1]].pop()
-            elif tag == 1:  # face laid along an edge
-                key = op[1]
-                lst = edge_faces[key]
-                lst.pop()
-                if not lst:
-                    edge_faces[key] = None
-                else:
-                    a, b = divmod(key, self.width)
-                    self.saturated[a].discard(b)
-                    self.saturated[b].discard(a)
-            elif tag == 2:  # corner, with the arc-end entries it replaced
-                _, v, a, arc_a, b, arc_b, far_a, far_b = op
-                ends = self.ends[v]
-                self.corner_count[v] -= 1
-                if arc_a is None or arc_a[0] != b:
-                    del ends[a if arc_a is None else arc_a[0]]
-                    del ends[b if arc_b is None else arc_b[0]]
-                if arc_a is not None:
-                    ends[a] = arc_a
-                    ends[arc_a[0]] = far_a
-                if arc_b is not None:
-                    ends[b] = arc_b
-                    ends[arc_b[0]] = far_b
-            elif tag == 3:  # vertex shared with the faces already at it
+            if tag == 0:  # face fid extended by y; closed too when op has 9 fields
+                fid, y = op[1], op[2]
+                if len(op) > 6:
+                    undo_corner(op[8])
+                    undo_corner(op[7])
+                    undo_edge(op[6])
+                fpath[fid].pop()
+                if op[5] is not None:
+                    undo_corner(op[5])
+                if self.pair_prune:
+                    self._undo_shared(fid, y)
+                undo_edge(op[4])
+                if op[3]:  # y was the fresh label
+                    self.labels_used -= 1
+                    self.open.remove(y)
+            elif tag == 1:  # face fid begun at x
                 fid = op[1]
-                vf = self.vfaces[op[2]]
-                vf.pop()
-                nf = self.nfaces
-                for g in vf:
-                    key = g * nf + fid
-                    lst = pv[key]
-                    lst.pop()
-                    if not lst:
-                        pv[key] = None
-            elif tag == 4:  # face created
-                fid = op[1]
-                self.budget[self.fsize[fid]] += 1
-                self.fsize.pop()
+                if self.pair_prune:
+                    self._undo_shared(fid, op[2])
+                self.budget[self.fsize.pop()] += 1
                 fpath.pop()
-            elif tag == 6:  # label
-                self.labels_used -= 1
-            elif tag == 7:  # path reversed
+            else:  # tag 7: path reversed
                 fpath[op[1]].reverse()
+
+    def _undo_edge(self, key: int) -> None:
+        lst = self.edge_faces[key]
+        lst.pop()
+        if not lst:
+            self.edge_faces[key] = None
+        else:
+            a, b = divmod(key, self.width)
+            self.saturated[a].discard(b)
+            self.saturated[b].discard(a)
+
+    def _undo_shared(self, fid: int, y: int) -> None:
+        vf = self.vfaces[y]
+        vf.pop()
+        pv, nf = self.pair_verts, self.nfaces
+        for g in vf:
+            key = g * nf + fid
+            lst = pv[key]
+            lst.pop()
+            if not lst:
+                pv[key] = None
+
+    def _undo_corner(self, rec: tuple) -> None:
+        """Remove a corner, restoring the arc-end entries it replaced."""
+        v, a, arc_a, b, arc_b, far_a, far_b = rec
+        ends = self.ends[v]
+        if self.corner_count[v] == self.d:
+            self.open.add(v)
+        self.corner_count[v] -= 1
+        if arc_a is None or arc_a[0] != b:
+            del ends[a if arc_a is None else arc_a[0]]
+            del ends[b if arc_b is None else arc_b[0]]
+        if arc_a is not None:
+            ends[a] = arc_a
+            ends[arc_a[0]] = far_a
+        if arc_b is not None:
+            ends[b] = arc_b
+            ends[arc_b[0]] = far_b
 
     # -- checks: pure functions of the state and one prospective change -----
 
@@ -426,22 +462,25 @@ class _Search:
     def _append_ok(self, fid: int, y: int) -> bool:
         """Whether extending the open face fid by y passes the checks of
         the step that the current state decides (see _passing)."""
-        return bool(self._passing(fid, (y,), 1))
+        return bool(self._passing(fid, {y}, 1))
 
-    def _passing(self, fid: int, cands, limit: int) -> list:
-        """The candidate labels y, in their order, whose extension of the
+    def _passing(self, fid: int, raw: set, limit: int) -> list:
+        """The labels of raw, in branching order, whose extension of the
         open face fid passes the checks of the step that the current state
         decides, stopping once limit of them pass: the fan at v (the path's
         last vertex) with its new corner, the edge {v, y}, the face pairs
         meeting at y, and then either the half corner at y or, when the step
         closes the face, the fans at y and first with their new corners and
         the closing edge {y, first}.  Mutates nothing.  The checks that need
-        the closed face run in _close_face once the step is applied.
+        the closed face run in _append_vertex once the step is applied.
 
-        The fan test at v has the same verdict for every label that ends
-        none of v's arcs, so it is taken once for all of them; when the face
-        is being begun, v gets the new edge but no corner, and only a label
-        that ends an arc there needs the half-corner test."""
+        Branching order is ascending, with the fresh label (the largest)
+        first under fresh_first.  The fan test at v has the same verdict
+        for every label that ends none of v's arcs, so it is taken once;
+        when it is False the fan is forced, and only the labels of raw that
+        end an arc of v are tried.  When the face is being begun, v gets the
+        new edge but no corner, and only a label that ends an arc there
+        needs the half-corner test."""
         path = self.fpath[fid]
         v, first = path[-1], path[0]
         c = self.size_char[self.fsize[fid]]
@@ -450,17 +489,21 @@ class _Search:
         prev = None if begun else path[-2]
         closing = len(path) + 1 == self.fsize[fid]
         # 0 is no label, so it ends no arc
-        off_arc = begun or self._validate_vertex(v, prev, 0, c)
+        if begun or self._validate_vertex(v, prev, 0, c):
+            cands = sorted(raw)
+            if self.fresh_first and cands and cands[-1] > self.labels_used:
+                cands.insert(0, cands.pop())
+        else:
+            # the fresh label ends no arc, so it is never tried here
+            cands = sorted(raw.intersection(ends))
         validate, edge_ok = self._validate_vertex, self._edge_ok
         half_corner_ok = self._half_corner_ok
         shared_ok = self._shared_ok if self.pair_prune else None
         out = []
         for y in cands:
             # the fan test comes first: it rejects the most candidates
-            if y in ends:
-                if not (half_corner_ok(v, y, c) if begun else validate(v, prev, y, c)):
-                    continue
-            elif not off_arc:
+            if y in ends and not (half_corner_ok(v, y, c) if begun
+                                  else validate(v, prev, y, c)):
                 continue
             if not edge_ok(v, y, c) or (shared_ok and not shared_ok(fid, y)):
                 continue
@@ -491,16 +534,18 @@ class _Search:
         # both of its ends
         need = 2 * self.cycle.count(s)
         ch = self.size_char[s]
-        for v in range(1, self.labels_used + 1):
-            if self.corner_count[v] == self.d:
-                continue
+        for v in self.open:
             if sum(word.count(ch) for _, word in self.ends[v].values()) < need:
                 return False
         return True
 
-    # -- mutators (journaled; the checks above have passed) ----------------
+    # -- mutators (the checks above have passed) --------------------------
+    #
+    # _put_edge and _put_corner return their undo data, and _put_shared's is
+    # the face and the vertex; the step that calls them journals one record
+    # holding all of it.
 
-    def _put_edge(self, a: int, b: int, fid: int) -> None:
+    def _put_edge(self, a: int, b: int, fid: int) -> int:
         key = a * self.width + b if a < b else b * self.width + a
         lst = self.edge_faces[key]
         if lst is None:
@@ -509,7 +554,7 @@ class _Search:
             lst.append(fid)
             self.saturated[a].add(b)
             self.saturated[b].add(a)
-        self.journal.append((1, key))
+        return key
 
     def _put_shared(self, fid: int, y: int) -> None:
         """Record that face fid now contains y."""
@@ -523,11 +568,11 @@ class _Search:
             else:
                 lst.append(y)
         vf.append(fid)
-        self.journal.append((3, fid, y))
 
-    def _put_corner(self, v: int, fid: int, a: int, b: int) -> None:
+    def _put_corner(self, v: int, fid: int, a: int, b: int) -> tuple:
         """Add the corner of fid at v between neighbours a and b, joining the
-        arcs that end at a and at b."""
+        arcs that end at a and at b; v leaves the open labels with its d-th
+        corner."""
         ends = self.ends[v]
         c = self.size_char[self.fsize[fid]]
         arc_a = ends.pop(a, None)
@@ -536,6 +581,7 @@ class _Search:
         if arc_a is not None and arc_a[0] == b:
             # the last arc closes into the full fan cycle
             far_a, far_b = arc_b, arc_a
+            self.open.remove(v)
         else:
             far_a = far_b = None
             end_a, fwd_a, back_a = a, "", ""
@@ -550,53 +596,51 @@ class _Search:
                 fwd_b, back_b = arc_b[1], far_b[1]
             ends[end_a] = (end_b, fwd_a + c + fwd_b)
             ends[end_b] = (end_a, back_b + c + back_a)
-        self.journal.append((2, v, a, arc_a, b, arc_b, far_a, far_b))
+        return (v, a, arc_a, b, arc_b, far_a, far_b)
 
     def _start_face(self, size: int, x: int, v: int) -> bool:
-        """Begin a face of the given size on edge {x, v}: open it at x, then
-        extend it by v.  Applied before it is checked; the caller unwinds
-        on False."""
+        """Begin a face of the given size on edge {x, v}: open it at x (one
+        journal record), then extend it by v.  Applied before it is checked;
+        the caller unwinds on False."""
         fid = len(self.fsize)
         self.budget[size] -= 1
         self.fsize.append(size)
         self.fpath.append([x])
-        self.journal.append((4, fid))
         if self.pair_prune:
             self._put_shared(fid, x)
+        self.journal.append((1, fid, x))
         return self._append_ok(fid, v) and self._append_vertex(fid, v)
 
     def _append_vertex(self, fid: int, y: int) -> bool:
-        """Extend face fid by y, a step that passed _append_ok; y is fresh
-        when it is the next unused label.  Only a step that closes the face
-        can still fail; the caller unwinds on False."""
-        if y > self.labels_used:
-            self.labels_used += 1
-            self.journal.append((6,))
+        """Extend face fid by y, a step that passed _append_ok, and journal
+        it as one record; y is fresh when it is the next unused label.  A
+        step that fills the path also closes the face along edge {y, first},
+        and then the deferred face pairs and the size supply are checked on
+        the closed state: only such a step can still fail, and the caller
+        unwinds it on False."""
+        fresh = y > self.labels_used
+        if fresh:
+            self.labels_used = y
+            self.open.add(y)
         path = self.fpath[fid]
         v = path[-1]
-        self._put_edge(v, y, fid)
+        key = self._put_edge(v, y, fid)
         if self.pair_prune:
             self._put_shared(fid, y)
-        if len(path) > 1:
-            self._put_corner(v, fid, path[-2], y)
+        corner = self._put_corner(v, fid, path[-2], y) if len(path) > 1 else None
         path.append(y)
-        self.journal.append((0, fid))
-        if len(path) == self.fsize[fid]:
-            return self._close_face(fid)
-        return True
-
-    def _close_face(self, fid: int) -> bool:
-        """Close fid along edge {last, first}, a step _append_ok passed.  The
-        deferred face pairs and the size supply are checked on the closed
-        state; the caller unwinds on False."""
-        path = self.fpath[fid]
-        first, last = path[0], path[-1]
-        self._put_edge(last, first, fid)
-        self._put_corner(last, fid, path[-2], first)
-        self._put_corner(first, fid, last, path[1])
+        size = self.fsize[fid]
+        if len(path) < size:
+            self.journal.append((0, fid, y, fresh, key, corner))
+            return True
+        first = path[0]
+        close_key = self._put_edge(y, first, fid)
+        corner_y = self._put_corner(y, fid, v, first)
+        corner_first = self._put_corner(first, fid, y, path[1])
+        # journaled before the checks: the caller unwinds a failing close
+        self.journal.append((0, fid, y, fresh, key, corner, close_key, corner_y, corner_first))
         if not self._recheck_pairs(fid):
             return False
-        size = self.fsize[fid]
         return self.budget[size] > 0 or self._size_supply_ok(size)
 
     # -- seeding -----------------------------------------------------------
@@ -611,6 +655,8 @@ class _Search:
         ring = list(range(2, star + 1))
         m = len(ring)
         self.labels_used = star
+        # vertex 1 is open until the star's last face closes its fan
+        self.open = set(range(1, star + 1))
         off = 0
         for size in self.cycle:
             ok = self._start_face(size, 1, ring[off % m])
@@ -639,7 +685,7 @@ class _Search:
             # near: the candidates at the end that is last in the path
             near, far = self.extend_candidates(fid)
             path = self.fpath[fid]
-            # the end with the shorter raw list is filtered first; the other
+            # the end with fewer raw candidates is filtered first; the other
             # end is taken only when fewer of its candidates pass (fail
             # first).  A closing step lays both edges, so its verdicts are
             # the same at either end.  _passing reads the end being filtered
@@ -663,13 +709,11 @@ class _Search:
         # activate the open vertex with the fullest fan (ties to the lowest
         # label): nearly-closed fans propagate contradictions soonest
         cc = self.corner_count
-        d = self.d
-        v = 0
-        best = -1
-        for u in range(1, self.labels_used + 1):
-            if best < cc[u] < d:
-                v = u
-                best = cc[u]
+        v, best = 0, -1
+        for u in self.open:
+            k = cc[u]
+            if k > best or (k == best and u < v):
+                v, best = u, k
         if not v:
             return ("complete", None, None, ())
         # the new face goes at the lowest arc end; its size must extend the
@@ -684,44 +728,29 @@ class _Search:
                     sizes.append(s)
         return ("start", v, best_nbr, sizes)
 
-    def extend_candidates(self, fid: int) -> tuple[list, list]:
-        """Labels that may extend the open face fid at its tail (after the
-        last path vertex) and at its head (before the first), each as a list
-        of labels in branching order, from one walk over the labels; the
-        next unused label, when one is left, comes last (first, with
-        fresh_first).  A label is excluded when its fan is full or the new
-        edge to it already carries two faces, read from the
-        saturated-neighbour sets of the path's two ends."""
+    def extend_candidates(self, fid: int) -> tuple[set, set]:
+        """The raw candidates that may extend the open face fid at its tail
+        (after the last path vertex) and at its head (before the first), as
+        sets of labels: the open labels off the path whose edge to that end
+        has a free side, read from the saturated-neighbour sets, and the
+        next unused label when one is left.  A closing step lays both edges
+        and also puts a corner at the path's far end, so both ends get the
+        same set, or none when the far end's fan is full."""
         path = self.fpath[fid]
         last, first = path[-1], path[0]
-        vset = set(path)
-        corner_count = self.corner_count
-        d = self.d
-        sat_tail, sat_head = self.saturated[last], self.saturated[first]
-        closing = len(path) + 1 == self.fsize[fid]
-        if closing:
-            # a closing step lays both edges at y, whichever end it takes
-            sat_tail = sat_head = sat_tail | sat_head
-        tail, head = [], []
-        for y in range(2, self.labels_used + 1):
-            if corner_count[y] < d and y not in vset:
-                if y not in sat_tail:
-                    tail.append(y)
-                if y not in sat_head:
-                    head.append(y)
-        if self.labels_used < self.n:
-            fresh = self.labels_used + 1
-            for out in (tail, head):
-                if self.fresh_first:
-                    out.insert(0, fresh)
-                else:
-                    out.append(fresh)
-        if closing:
-            # the step also puts a corner at the path's far end
-            if corner_count[first] >= d:
-                tail = []
-            if corner_count[last] >= d:
-                head = []
+        sat = self.saturated
+        fresh = self.labels_used + 1 if self.labels_used < self.n else 0
+        if len(path) + 1 == self.fsize[fid]:
+            both = self.open.difference(path, sat[last], sat[first])
+            if fresh:
+                both.add(fresh)
+            cc, d = self.corner_count, self.d
+            return (both if cc[first] < d else set()), (both if cc[last] < d else set())
+        tail = self.open.difference(path, sat[last])
+        head = self.open.difference(path, sat[first])
+        if fresh:
+            tail.add(fresh)
+            head.add(fresh)
         return tail, head
 
 

@@ -18,9 +18,9 @@ and the other starts in their orbits are never traversed.  At the end the
 orbits are those of the whole group, since the ties reach every least-code
 flag and the group acts freely on flags, and the minimizing starts are the
 orbit of the first, as in a full scan.  The scan runs once per map and is
-cached on the CombMap: canonical_code, automorphism_group, isomorphic and
-canonical_order all read that one record (code, minimizing starts, traversal
-order from the first, flag orbits).
+cached on the CombMap: canonical_code, automorphism_group, isomorphic,
+canonical_order and vertex_orbits all read that one record (code, minimizing
+starts, traversal order from the first, flag orbits).
 """
 
 from __future__ import annotations
@@ -229,6 +229,9 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
+_CATALOG_ORDER = 16  # the largest group order recognize_group names
+
+
 def recognize_group(elements) -> str:
     """Structure label for a small permutation group, given as its full
     element list.
@@ -241,7 +244,7 @@ def recognize_group(elements) -> str:
     order = len(elements)
     if order == 1:
         return "trivial"
-    if order > 16:
+    if order > _CATALOG_ORDER:
         return f"unrecognized({order})"
     orders = sorted(_perm_order(g) for g in elements)
     abelian = all(
@@ -323,8 +326,28 @@ def automorphism_group(m: CombMap) -> PermGroup:
     )
 
 
+def _group_summary(m: CombMap) -> tuple[int, str, list[tuple[int, ...]]]:
+    """The order, structure label and vertex orbits of Aut(m), read from the
+    cached scan without writing the group out: the order is the number of
+    code-minimizing start flags.  The elements are written out
+    (automorphism_group) only when recognize_group needs them, up to its
+    catalog order; a larger group is unrecognized by its order alone."""
+    order = len(_canonical_form(m).starts)
+    if order <= _CATALOG_ORDER:
+        structure = automorphism_group(m).structure
+    else:
+        structure = f"unrecognized({order})"
+    return order, structure, vertex_orbits(m)
+
+
 def vertex_orbits(m: CombMap) -> list[tuple[int, ...]]:
-    return automorphism_group(m).vertex_orbits()
+    """The vertex orbits of Aut(m), from the flag orbits of the cached scan:
+    each flag orbit's vertex set is one vertex orbit, since an automorphism
+    carrying a flag at v to a flag at w carries v to w."""
+    orbits: dict[int, set[int]] = {}
+    for fl, root in enumerate(_canonical_form(m).orbits):
+        orbits.setdefault(root, set()).add(m.vertex_of[fl] + 1)
+    return sorted({tuple(sorted(o)) for o in orbits.values()})
 
 
 def is_vertex_transitive(m: CombMap) -> bool:

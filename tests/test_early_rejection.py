@@ -11,16 +11,19 @@ adjacent-size words, the face-pair intersection rules and, corner by
 corner, the fans that get a new corner.  Only the checks that need the
 closed face (deferred face pairs, size supply) are left to the applied step.
 The walk also holds the kernel's shortcuts against plain derivations: the
-children of each node against the passing candidates of both ends, the
-candidate lists against the face paths and corner counts, the integer-keyed
-edge and face-pair tables against the face paths (after every apply and
-every undo), the saturated-neighbour sets against the edge table, and the
+children of each node against the passing candidates of both ends, taken
+in branching order, the candidate sets against the face paths and corner
+counts, the integer-keyed edge and face-pair tables against the face paths
+(after every apply and every undo), the saturated-neighbour sets against
+the edge table, the open-label set against the corner counts, and the
 once-per-end fan verdict against the fan test of each candidate that ends
-no arc of the fan.  At every node it checks the facts the kernel reads
-instead of storing: only the last face can be open, a fan is closed exactly
-when it has d corners, and under the pair prune no two faces share two
-edges.  The oracle reads closedness from path lengths and tests words
-against the type cycle itself, not against the kernel's tables.
+no arc of the fan; where that verdict is False, every child ends an arc.
+Each undo must restore the whole search state, journal length included.
+At every node it checks the facts the kernel reads instead of storing: only
+the last face can be open, a fan is closed exactly when it has d corners,
+and under the pair prune no two faces share two edges.  The oracle reads
+closedness from path lengths and tests words against the type cycle itself,
+not against the kernel's tables.
 """
 
 import pytest
@@ -272,9 +275,12 @@ def _tables_ok(st, order):
 
 def _invariants_ok(st):
     """The facts the kernel reads rather than stores, derived from the face
-    paths and the fans."""
+    paths and the fans, and the open-label set it keeps, derived from the
+    corner counts."""
     if any(len(p) != s for p, s in zip(st.fpath[:-1], st.fsize)):
         return False  # a face other than the last is open
+    if st.open != {y for y in range(2, st.labels_used + 1) if st.corner_count[y] < st.d}:
+        return False
     for v in range(1, st.n + 1):
         if (st.corner_count[v] == st.d) != (st.corner_count[v] > 0 and not st.ends[v]):
             return False  # a full fan that is open, or a closed one short of d
@@ -285,8 +291,21 @@ def _invariants_ok(st):
     return True
 
 
+def _snapshot(st):
+    """A copy of the whole search state, to compare before a step and after
+    its undo."""
+    def lists(table):
+        return [None if x is None else list(x) for x in table]
+
+    return (lists(st.fpath), list(st.fsize), lists(st.edge_faces), lists(st.pair_verts),
+            lists(st.vfaces), [set(x) for x in st.saturated], [dict(x) for x in st.ends],
+            list(st.corner_count), dict(st.budget), st.labels_used, set(st.open),
+            len(st.journal))
+
+
 def _candidates(st, fid, edges):
-    """extend_candidates, rebuilt from the face paths and the corner counts."""
+    """extend_candidates, rebuilt from the face paths and the corner counts
+    as lists in branching order."""
     path = st.fpath[fid]
     last, first = path[-1], path[0]
     closing = len(path) + 1 == st.fsize[fid]
@@ -313,10 +332,12 @@ def _candidates(st, fid, edges):
     return tail, head
 
 
-def _passing(st, edges, fid, cands, at_head):
-    """The candidates of one end of the open face that pass _append_ok, each
-    verdict held against the oracle; the head is read by reversing the path
-    for the duration, as find_slot does."""
+def _passing(st, edges, fid, cands, raw, at_head):
+    """The candidates of one end of the open face that pass _append_ok, in
+    the order of the oracle's list cands, each verdict held against the
+    oracle; then the kernel's _passing on the raw set must give the same
+    list.  The head is read by reversing the path for the duration, as
+    find_slot does."""
     path = st.fpath[fid]
     if at_head:
         path.reverse()
@@ -331,8 +352,8 @@ def _passing(st, edges, fid, cands, at_head):
             assert off_arc == st._validate_vertex(v, path[-2], y, c)
         if ok:
             out.append(y)
-    # the whole list at once, with the verdicts _passing takes once per end
-    assert st._passing(fid, cands, len(cands)) == out
+    # the whole set at once, with the verdict _passing takes once per end
+    assert st._passing(fid, raw, len(raw)) == out
     if at_head:
         path.reverse()
     return out
@@ -340,12 +361,12 @@ def _passing(st, edges, fid, cands, at_head):
 
 def _walk(st, tally, order):
     """The search tree of _run, checking every candidate at both ends of the
-    open face, the children find_slot keeps, the candidate lists, the edge
-    and face-pair tables, the saturated sets and the facts the kernel reads
-    instead of storing.  ``order[f]`` lists the vertices of face f in the
-    order they were added, which a reversed path no longer shows.  The
-    tables are checked after every step applied, rejected or not, and after
-    every undo."""
+    open face, the children find_slot keeps, the candidate sets, the edge
+    and face-pair tables, the saturated sets, the open-label set, the state
+    each undo restores and the facts the kernel reads instead of storing.
+    ``order[f]`` lists the vertices of face f in the order they were added,
+    which a reversed path no longer shows.  The tables are checked after
+    every step applied, rejected or not, and after every undo."""
     assert _invariants_ok(st), st.fpath
     nf = len(st.fsize)
     extending = nf > 0 and len(st.fpath[-1]) < st.fsize[-1]
@@ -353,8 +374,10 @@ def _walk(st, tally, order):
         fid = nf - 1
         edges = _edge_map(st)
         raw = st.extend_candidates(fid)
-        assert raw == _candidates(st, fid, edges)
-        passing = [_passing(st, edges, fid, cands, at_head) for at_head, cands in enumerate(raw)]
+        ordered = _candidates(st, fid, edges)
+        assert raw == tuple(set(cands) for cands in ordered)
+        passing = [_passing(st, edges, fid, cands, raw[at_head], at_head)
+                   for at_head, cands in enumerate(ordered)]
         before = list(st.fpath[fid])
         closing = len(before) + 1 == st.fsize[fid]
         if closing and raw[0] and raw[1]:
@@ -377,10 +400,16 @@ def _walk(st, tally, order):
             assert chosen == first, st.fpath
         elif len(passing[1 - first]) == len(passing[first]):
             assert chosen == first, st.fpath  # a tie keeps the first end
+        path = st.fpath[fid]
+        v, c = path[-1], st.size_char[st.fsize[fid]]
+        if not st._validate_vertex(v, path[-2], 0, c):
+            # a forced fan: only labels that end an arc of v can pass
+            assert all(y in st.ends[v] for y in kids), st.fpath
         tally["early"] += rejected
         tally["switched"] += chosen != first
         for y in kids:
             m = st.mark()
+            before_step = _snapshot(st)
             order[fid].append(y)
             ok = st._append_vertex(fid, y)
             assert _tables_ok(st, order), st.fpath
@@ -392,10 +421,12 @@ def _walk(st, tally, order):
             order[fid].pop()
             st.undo_to(m)
             assert _tables_ok(st, order), st.fpath
+            assert _snapshot(st) == before_step, st.fpath
     else:
         _, v, x, sizes = slot
         for s in sizes:
             m = st.mark()
+            before_step = _snapshot(st)
             order.append([x, v])
             ok = st._start_face(s, x, v)
             assert _tables_ok(st, order), st.fpath
@@ -407,6 +438,7 @@ def _walk(st, tally, order):
             order.pop()
             st.undo_to(m)
             assert _tables_ok(st, order), st.fpath
+            assert _snapshot(st) == before_step, st.fpath
 
 
 ROWS = [

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,3 +328,27 @@ def test_canonical_code_past_two_byte_entries():
     assert dumps(m).startswith("vertices 8281\nface ")
     # the map is regular: every flag starts the least code
     assert len(symmetry._canonical_form(m).starts) == m.flag_count
+
+
+def test_group_summary_reads_the_scan():
+    # a regular map: 2,048 automorphisms, so writing the group out would
+    # hold 2,048 x 2,048 flag images; analyze_map, vertex_orbits and the
+    # aut command read the order and orbits from the scan instead
+    m = build_from_faces(quad_torus(16))
+    assert m.flag_count == 2048
+    tracemalloc.start()
+    try:
+        a = analyze_map(m)
+        orbits = vertex_orbits(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a["aut_order"] == 2048 and a["aut_structure"] == "unrecognized(2048)"
+    assert a["orbit_count"] == 1 and a["vertex_transitive"]
+    assert orbits == [tuple(range(1, 257))] and is_vertex_transitive(m)
+    assert peak < 5 * 2**20, peak
+    # the summary against the written-out group, on groups of order 2 to 48
+    for name in fixture_names():
+        for m in (fixture_map(name), truncate(fixture_map(name))):
+            g = automorphism_group(m)
+            assert symmetry._group_summary(m) == (g.order, g.structure, g.vertex_orbits())

@@ -32,7 +32,10 @@ copies as they are labelled:
               run of those rows returns, and of every fixture, its
               truncation and its rectification
   witness     the face lists and canonical digests of the fresh_first
-              witnesses of the four existence rows
+              witnesses of the four existence rows, and the complete flag,
+              stats and codes of each of those rows searched fresh_first
+              and cut at node_budget=20000, which reaches the large rows
+              (n = 40 to 84) that the rows line does not
   census      stdout of `semeq census --chi -1 --json`
 
 Usage: python tools/search_fingerprint.py [CHECKOUT]
@@ -164,6 +167,9 @@ def witness_section() -> str:
     for tstr, n in WITNESS_ROWS:
         m = exists_any(tstr, n, -1, EnumOptions(fresh_first=True))
         out.append(None if m is None else [m.faces, canonical_code(m).digest()])
+    for tstr, n in WITNESS_ROWS:
+        r = enumerate_maps(tstr, n, -1, EnumOptions(fresh_first=True, node_budget=20000))
+        out.append([tstr, n, r.complete, r.stats.to_dict(), [c.hex() for c in r.codes]])
     return _digest(out)
 
 
