@@ -785,14 +785,15 @@ def _class_code(m: CombMap, cycle: tuple[int, ...]) -> bytes:
     size = min(cycle, key=cycle.count)
     faces, face_of = m.faces, m.face_of
     flags = [fl for fl in range(m.flag_count) if len(faces[face_of[fl]]) == size]
-    key = _flag_code(m, flags[0])
+    nbr = list(zip(m.s0, m.s1, m.s2))  # shared by this map's _flag_code calls
+    key = _flag_code(m, flags[0], nbr)
     code = _classes.get(key)
     if code is None:
         code = _classes[key] = canonical_code(m).data
         orbits = _canonical_form(m).orbits
         for fl in flags:
             if orbits[fl] == fl and fl != orbits[flags[0]]:
-                _classes[_flag_code(m, fl)] = code
+                _classes[_flag_code(m, fl, nbr)] = code
     return code
 
 

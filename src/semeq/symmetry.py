@@ -9,18 +9,22 @@ isomorphic exactly when their codes agree, and each code-minimizing start
 flag yields one automorphism, so the automorphism group falls out of the same
 scan for free.  A start is dropped at the first code entry above the least
 code so far (McKay, J. Algorithms 26, 1998); one that ties or wins runs to
-the end.  Each tie is an automorphism, and the scan keeps the flag orbits of
-the automorphisms found so far in a union-find whose roots are the least
-flags of their orbits.  A start in the orbit of an earlier flag has that
-flag's code, so it is skipped (orbit pruning, as in McKay & Piperno, J.
-Symb. Comput. 60, 2014): on a map with a large group a few ties generate it,
-and the other starts in their orbits are never traversed.  At the end the
-orbits are those of the whole group, since the ties reach every least-code
-flag and the group acts freely on flags, and the minimizing starts are the
-orbit of the first, as in a full scan.  The scan runs once per map and is
-cached on the CombMap: canonical_code, automorphism_group, isomorphic,
-canonical_order and vertex_orbits all read that one record (code, minimizing
-starts, traversal order from the first, flag orbits).
+the end.  While a start's code matches the least code so far it is only
+compared, never written: a tie copies the least code, and a start that wins
+writes from the first entry below it on.  The image triples (s0, s1, s2) of
+all flags are built once per scan and read by every traversal.  Each tie is
+an automorphism, and the scan keeps the flag orbits of the automorphisms
+found so far in a union-find whose roots are the least flags of their
+orbits.  A start in the orbit of an earlier flag has that flag's code, so
+it is skipped (orbit pruning, as in McKay & Piperno, J. Symb. Comput. 60,
+2014): on a map with a large group a few ties generate it, and the other
+starts in their orbits are never traversed.  At the end the orbits are those
+of the whole group, since the ties reach every least-code flag and the group
+acts freely on flags, and the minimizing starts are the orbit of the first,
+as in a full scan.  The scan runs once per map and is cached on the CombMap:
+canonical_code, automorphism_group, isomorphic, canonical_order and
+vertex_orbits all read that one record (code, minimizing starts, traversal
+order from the first, flag orbits).
 """
 
 from __future__ import annotations
@@ -83,45 +87,75 @@ class _CanonicalForm:
     orbits: tuple[int, ...]
 
 
-def _traverse(m: CombMap, start: int, bound: Optional[list[int]] = None
+def _traverse(m: CombMap, start: int, bound: Optional[list[int]] = None,
+              nbr: Optional[list[tuple[int, int, int]]] = None
               ) -> Optional[tuple[list[int], list[int]]]:
-    """BFS flag numbering from one start flag, with its code written as the
-    traversal runs: each visited flag adds the numbers of its s0, s1, s2
-    images.  Returns (code, order), order[k] being the k-th visited flag, or
-    None at the first entry where the code rises above bound."""
-    nf = m.flag_count
-    s0, s1, s2 = m.s0, m.s1, m.s2
-    num = [-1] * nf
+    """BFS flag numbering from one start flag: each visited flag adds the
+    numbers of its s0, s1, s2 images, read from nbr, the image triples of
+    all flags (built here when not given).  Returns (code, order), order[k]
+    being the k-th visited flag.
+
+    With a bound, no code is written while it matches bound: each visited
+    flag's three numbers are compared with bound's entries.  At the first
+    flag that differs, None is returned when its numbers are the greater;
+    otherwise the code so far is bound's prefix plus those three numbers,
+    and the traversal goes on writing without comparing.  A code equal to
+    bound is returned as a copy of bound."""
+    if nbr is None:
+        nbr = list(zip(m.s0, m.s1, m.s2))
+    num = [-1] * len(nbr)
     num[start] = 0
     order = [start]
+    flags = iter(order)  # the list grows while it is read
     code: list[int] = []
-    below = bound is None  # the code is already less than bound
-    for fl in order:  # the list grows while it is read
-        for img in (s0[fl], s1[fl], s2[fl]):
+    if bound is not None:
+        pos = 0
+        for fl in flags:
+            x, y, z = nbr[fl]
+            kx = num[x]
+            if kx < 0:
+                kx = num[x] = len(order)
+                order.append(x)
+            ky = num[y]
+            if ky < 0:
+                ky = num[y] = len(order)
+                order.append(y)
+            kz = num[z]
+            if kz < 0:
+                kz = num[z] = len(order)
+                order.append(z)
+            if kx != bound[pos] or ky != bound[pos + 1] or kz != bound[pos + 2]:
+                break
+            pos += 3
+        else:
+            return bound[:], order
+        if [kx, ky, kz] > bound[pos:pos + 3]:
+            return None
+        code = bound[:pos]
+        code += kx, ky, kz
+    for fl in flags:
+        for img in nbr[fl]:
             k = num[img]
             if k < 0:
                 k = num[img] = len(order)
                 order.append(img)
-            if not below:
-                b = bound[len(code)]
-                if k > b:
-                    return None
-                below = k < b
             code.append(k)
     return code, order
 
 
-def _flag_code(m: CombMap, start: int) -> bytes:
+def _flag_code(m: CombMap, start: int, nbr: list[tuple[int, int, int]]) -> bytes:
     """The encoded code of the whole traversal from one start flag; two
     flags have the same code exactly when an isomorphism of their maps
-    carries one to the other."""
-    return _encode(_traverse(m, start)[0])
+    carries one to the other.  nbr: the image triples, as in _traverse."""
+    return _encode(_traverse(m, start, nbr=nbr)[0])
 
 
 def _scan(m: CombMap) -> _CanonicalForm:
     """Traverse from every start flag and keep the least code, dropping a
     start at its first code entry above the least code so far and skipping
-    a start in the orbit of an earlier flag."""
+    a start in the orbit of an earlier flag.  The flags' image triples are
+    built once and shared by every traversal."""
+    nbr = list(zip(m.s0, m.s1, m.s2))
     parent = list(range(m.flag_count))  # union-find; a root is its orbit's least flag
 
     def root(x: int) -> int:
@@ -133,7 +167,7 @@ def _scan(m: CombMap) -> _CanonicalForm:
     for start in range(m.flag_count):
         if root(start) != start:
             continue
-        found = _traverse(m, start, best)
+        found = _traverse(m, start, best, nbr)
         if found is None:
             continue
         code, order = found
@@ -234,7 +268,10 @@ _CATALOG_ORDER = 16  # the largest group order recognize_group names
 
 def recognize_group(elements) -> str:
     """Structure label for a small permutation group, given as its full
-    element list.
+    element list.  The label depends only on the abstract group (element
+    orders, commutation, the dihedral relation), so any faithful action of
+    one group gets the same label; automorphism_group passes the vertex
+    action, the smallest it has.
 
     The catalog covers the groups met in the census: trivial, cyclic Z_n,
     dihedral D_n of order 2n (with the Klein four-group reported as "D_2
@@ -283,7 +320,10 @@ def automorphism_group(m: CombMap) -> PermGroup:
     it is written out along the reference traversal, each flag's image
     read from that of the earlier flag it was reached from, with no
     traversal from s.  The vertex projection is checked to be faithful;
-    polyhedral maps never trip this.
+    polyhedral maps never trip this.  The structure label is named from
+    that vertex action: a faithful action names the same group, and its
+    permutations are on f0 points, not on the 2d points per vertex of
+    degree d that the flags give.
     """
     form = _canonical_form(m)
     order, vertex_of = form.order, m.vertex_of
@@ -316,7 +356,7 @@ def automorphism_group(m: CombMap) -> PermGroup:
             )
         seen_vertex.add(vt)
         vertex_elements.append(vt)
-    structure = recognize_group(elements)
+    structure = recognize_group(vertex_elements)
     return PermGroup(
         degree=m.flag_count,
         elements=tuple(elements),

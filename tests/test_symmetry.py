@@ -151,6 +151,13 @@ def test_recognize_group_catalog():
         frontier.append(compose(g, rot))
         frontier.append(compose(g, flip))
     assert recognize_group(list(elems)) == "D_4"
+    # the same group acting on its own 8 elements by left multiplication:
+    # another faithful action, the same label
+    elems = sorted(elems)
+    index = {g: i for i, g in enumerate(elems)}
+    regular = [tuple(index[compose(g, h)] for h in elems) for g in elems]
+    assert len(set(regular)) == 8
+    assert recognize_group(regular) == "D_4"
     # symmetric group S4 = order 24 > 16
     s4 = list(itertools.permutations(range(4)))
     assert recognize_group(s4) == "unrecognized(24)"
@@ -273,14 +280,58 @@ def test_scan_orbits_are_automorphism_orbits():
         assert symmetry._scan(x).orbits == want
 
 
+def test_bounded_traversal_matches_unbounded():
+    # a bounded traversal is None exactly when its code is above the bound,
+    # and otherwise gives the unbounded traversal's code and order; the
+    # pairs must include a code that first drops below the bound at each of
+    # a flag's three image entries, and codes that tie it
+    rng = random.Random(31)
+    maps = _scan_cases() + [truncate(fixture_map(name)) for name in fixture_names()]
+    first_below_at, ties = set(), 0
+    for x in maps:
+        least = symmetry._scan(x).starts
+        targets = [least[0]] + rng.sample(range(x.flag_count), 2)
+        starts = list(least[:2]) + rng.sample(range(x.flag_count), min(8, x.flag_count))
+        full = {s: symmetry._traverse(x, s) for s in targets + starts}
+        for t in targets:
+            bound = full[t][0]
+            for s in starts:
+                code, order = full[s]
+                got = symmetry._traverse(x, s, bound)
+                if code > bound:
+                    assert got is None
+                    continue
+                assert got == (code, order)
+                assert got[0] is not bound
+                diff = [i for i, (a, b) in enumerate(zip(code, bound)) if a != b]
+                if diff:
+                    first_below_at.add(diff[0] % 3)
+                else:
+                    ties += 1
+    assert first_below_at == {0, 1, 2}
+    assert ties > 0
+
+
+def test_small_groups_named_from_the_vertex_action():
+    # the vertex action is faithful, so it names the same group as the flag
+    # action; the chi = -1 fixtures are the 11 maps of the rows with n <= 24
+    for name in fixture_names():
+        m = fixture_map(name)
+        for x in (m, truncate(m), rectify(m)):
+            g = automorphism_group(x)
+            if g.order <= 16:
+                assert recognize_group(g.elements) == recognize_group(g.vertex_action) \
+                    == g.structure, name
+
+
 def test_pruned_scan_skips_covered_starts(monkeypatch):
     # the cube's 48 flags form one orbit: once a few ties have generated the
     # group, every later start is skipped untraversed
     traversed = []
 
-    def counting_traverse(m, start, bound=None):
+    def counting_traverse(m, start, bound=None, *args):
         traversed.append(start)
-        return traverse(m, start, bound)
+        return traverse(m, start, bound, *args)
 
     traverse = symmetry._traverse
     monkeypatch.setattr(symmetry, "_traverse", counting_traverse)

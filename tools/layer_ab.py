@@ -1,0 +1,139 @@
+"""Time two checkouts of semeq against each other in one process.
+
+Usage: python tools/layer_ab.py CHECKOUT_A CHECKOUT_B [--rounds N]
+
+Both checkouts' src/semeq packages are loaded side by side (as semeq_a and
+semeq_b), and each round times two loads on each side, the side that goes
+first alternating from round to round, so that a drift in the host's speed
+falls on both sides alike.  Runs of the same code in separate processes are
+too noisy on a shared host to size a change to one layer: a census-like
+pass read ratios from 0.84 to 1.22 for a kernel change that interleaved
+runs put at 1.02.
+
+  scan     symmetry._scan, uncached, over every fixture map, its truncation
+           and its rectification, and three seeded shuffled copies of each
+           (vertices renamed, faces reordered, rotated and reversed), so
+           that the least-code start falls at other flag positions
+  analyze  the map loop of the classify-analyze benchmark workload without
+           the benchmark harness: for a relabelled copy of every fixture,
+           build the map, truncate and rectify it, and for each of the
+           three run analyze_map, isomorphic against the map built from
+           the fixture itself, dumps and loads
+
+Prints, per load, each side's median and quartiles in milliseconds, the
+ratio of B's median to A's, and the number of rounds B was faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+def load(checkout: str, name: str):
+    """The semeq package of a checkout, imported under another name."""
+    pkg = Path(checkout).resolve() / "src" / "semeq"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def shuffled_faces(flm, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """The faces of the same map with its vertices renamed and its faces
+    reordered, rotated and reversed, so that its flags are numbered afresh."""
+    p = list(range(1, flm.vertex_count + 1))
+    rng.shuffle(p)
+    faces = []
+    for f in flm.faces:
+        f = tuple(p[v - 1] for v in f)
+        k = rng.randrange(len(f))
+        f = f[k:] + f[:k]
+        faces.append(f[::-1] if rng.random() < 0.5 else f)
+    rng.shuffle(faces)
+    return tuple(faces)
+
+
+class Side:
+    """One checkout's inputs, built from the same face lists and seed."""
+
+    def __init__(self, sm):
+        self.sm = sm
+        rng = random.Random(1)
+
+        def shuffled(flm):
+            return sm.FaceListMap(flm.vertex_count, shuffled_faces(flm, rng))
+
+        self.scan_maps = []
+        self.items = []
+        for name in sm.fixture_names():
+            flm = sm.fixture_face_list(name)
+            ref = sm.build_from_faces(flm)
+            refs = [ref, sm.truncate(ref), sm.rectify(ref)]
+            for m in refs:
+                copies_of_m = [sm.build_from_faces(shuffled(sm.face_list_of(m)))
+                               for _ in range(3)]
+                self.scan_maps += [m] + copies_of_m
+            self.items.append((shuffled(flm), refs))
+        for ref in (r for _, refs in self.items for r in refs):
+            sm.canonical_code(ref)  # the references are scanned once, outside the timing
+
+    def scan(self) -> None:
+        scan = self.sm.symmetry._scan
+        for m in self.scan_maps:
+            scan(m)
+
+    def analyze(self) -> None:
+        sm = self.sm
+        for flm, refs in self.items:
+            m = sm.build_from_faces(flm)
+            for mm, ref in zip((m, sm.truncate(m), sm.rectify(m)), refs):
+                a = sm.analyze_map(mm)
+                assert a["vertices"] == mm.f0
+                assert sm.isomorphic(mm, ref) is not None
+                back = sm.loads(sm.dumps(mm))
+                assert back.vertex_count == mm.f0
+
+
+def timed(fn) -> float:
+    gc.collect()
+    t = time.perf_counter()
+    fn()
+    return time.perf_counter() - t
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout_a")
+    parser.add_argument("checkout_b")
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args()
+    sides = [Side(load(args.checkout_a, "semeq_a")), Side(load(args.checkout_b, "semeq_b"))]
+    loads = ("scan", "analyze")
+    times = {(load_name, i): [] for load_name in loads for i in (0, 1)}
+    for side in sides:  # one untimed round warms both sides up
+        side.scan()
+        side.analyze()
+    for r in range(args.rounds):
+        for load_name in loads:
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                times[load_name, i].append(timed(getattr(sides[i], load_name)))
+    for load_name in loads:
+        a, b = times[load_name, 0], times[load_name, 1]
+        qa, qb = statistics.quantiles(a, n=4), statistics.quantiles(b, n=4)
+        wins = sum(y < x for x, y in zip(a, b))
+        print(f"{load_name:8s} A {qa[1] * 1e3:8.1f} ms [{qa[0] * 1e3:.1f}, {qa[2] * 1e3:.1f}]"
+              f"  B {qb[1] * 1e3:8.1f} ms [{qb[0] * 1e3:.1f}, {qb[2] * 1e3:.1f}]"
+              f"  B/A {qb[1] / qa[1]:.3f}  B faster in {wins}/{len(a)} rounds")
+
+
+if __name__ == "__main__":
+    main()

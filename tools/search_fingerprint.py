@@ -27,10 +27,14 @@ copies as they are labelled:
               content give the same line
   resume      each of those cuts resumed to completion: complete, stats
               and codes
-  scans       the canonical scan (code, minimizing starts, traversal order)
-              and the automorphism group elements of every map the default
+  scans       the canonical scan (code, minimizing starts, traversal order,
+              flag orbits), the automorphism group elements and structure
+              label, and the analyze_map record of every map the default
               run of those rows returns, and of every fixture, its
-              truncation and its rectification
+              truncation and its rectification, each also in three seeded
+              shuffled copies (vertices renamed, faces reordered, rotated
+              and reversed), so that the least-code start falls at other
+              flag positions
   witness     the face lists and canonical digests of the fresh_first
               witnesses of the four existence rows, and the complete flag,
               stats and codes of each of those rows searched fresh_first
@@ -49,6 +53,7 @@ dominates.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -58,14 +63,17 @@ ROOT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).reso
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
+from semeq.census import analyze_map  # noqa: E402
 from semeq.enumerator import EnumOptions, _checkpoint_parse, enumerate_maps, exists_any  # noqa: E402
 from semeq.fixtures import fixture_map, fixture_names  # noqa: E402
-from semeq.mapcore import FaceListMap  # noqa: E402
+from semeq.mapcore import FaceListMap, build_from_faces, face_list_of  # noqa: E402
 from semeq.mapfile import dumps  # noqa: E402
 from semeq.symmetry import (_canonical_form, automorphism_group, canonical_code,  # noqa: E402
                             canonical_order)
 from semeq.transforms import rectify, truncate  # noqa: E402
 from semeq.typecalc import FilterOptions, admissible_types  # noqa: E402
+
+from layer_ab import shuffled_faces  # noqa: E402
 
 OPTION_SETS = {
     "default": {},
@@ -129,14 +137,20 @@ def rows_and_maps_sections(rows) -> tuple[str, str, list]:
 
 def scans_section(found) -> str:
     maps = list(found)
+    rng = random.Random(3)
     for name in fixture_names():
         m = fixture_map(name)
-        maps += [m, truncate(m), rectify(m)]
+        for x in (m, truncate(m), rectify(m)):
+            flm = face_list_of(x)
+            maps += [x] + [build_from_faces(FaceListMap(flm.vertex_count, shuffled_faces(flm, rng)))
+                           for _ in range(3)]
     out = []
     for m in maps:
         form = _canonical_form(m)
-        out.append([form.code.hex(), form.starts, form.order,
-                    automorphism_group(m).elements])
+        group = automorphism_group(m)
+        out.append([form.code.hex(), form.starts, form.order, form.orbits,
+                    group.elements, group.structure,
+                    json.dumps(analyze_map(m), sort_keys=True)])
     return _digest(out)
 
 
