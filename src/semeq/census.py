@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .enumerator import EnumOptions, enumerate_maps
 from .mapcore import CombMap, surface_signature
-from .symmetry import GiGraph, _group_summary, _link_intersections, canonical_code
+from .symmetry import _gi_degrees, _group_summary, canonical_code
 from .typecalc import AdmissiblePair, FilterOptions, admissible_types
 
 __all__ = ["CENSUS_SCHEMA_VERSION", "LONG_RUN_VERTEX_COUNT", "analyze_map",
@@ -34,16 +34,12 @@ def analyze_map(m: CombMap) -> dict:
     """Label-free summary of one map: group data, orbits, link-graph data."""
     order, structure, orbits = _group_summary(m)
     chi, orientable, genus = surface_signature(m)
-    # every nonempty G_i from one pass: vertex pairs bucketed by |L(a) & L(b)|
-    gi_edges: dict[int, list[tuple[int, int]]] = {}
-    for a, b, size in _link_intersections(m):
-        gi_edges.setdefault(size, []).append((a, b))
+    # every nonempty G_i from one pass over the vertex pairs, as degree lists
     gi_summary = {}
-    for i in sorted(gi_edges):
-        degs = GiGraph(i, m.f0, tuple(gi_edges[i])).degree_multiset()
+    for i, degs in sorted(_gi_degrees(m).items()):
         gi_summary[str(i)] = {
-            "edges": len(gi_edges[i]),
-            "degree_multiset_constant": len(set(degs)) == 1,
+            "edges": sum(degs) // 2,
+            "degree_multiset_constant": min(degs) == max(degs),
         }
     return {
         "vertices": m.f0,

@@ -341,23 +341,6 @@ class _Search:
 
     # -- checks: pure functions of the state and one prospective change -----
 
-    def _edge_ok(self, a: int, b: int, c: str) -> bool:
-        """A face of size character c may be laid along edge {a, b}: the
-        edge has a free side, and a face already on it has a size next to c
-        somewhere in the type cycle (the two sit side by side in both
-        endpoint fans).
-
-        Whether that face already shares another edge with the open face
-        needs no test of its own: if it did, the open face laid along a
-        second edge of it would either share a third vertex with it, which
-        the pair prune's _shared_ok rejects, or repeat its corner at the
-        path's end, which the fan test rejects first."""
-        w = self.width
-        lst = self.edge_faces[a * w + b if a < b else b * w + a]
-        if lst is None:
-            return True
-        return len(lst) < 2 and self.size_char[self.fsize[lst[0]]] + c in self.words
-
     def _pair_feasible(self, f: int, g: int, u: int, w: int, f_fits: bool = False) -> bool:
         """Two faces sharing the vertices u and w must share exactly the edge
         {u, w}: no third face may sit on it, and each face must carry it.  g
@@ -468,11 +451,24 @@ class _Search:
         """The labels of raw, in branching order, whose extension of the
         open face fid passes the checks of the step that the current state
         decides, stopping once limit of them pass: the fan at v (the path's
-        last vertex) with its new corner, the edge {v, y}, the face pairs
-        meeting at y, and then either the half corner at y or, when the step
-        closes the face, the fans at y and first with their new corners and
-        the closing edge {y, first}.  Mutates nothing.  The checks that need
-        the closed face run in _append_vertex once the step is applied.
+        last vertex) with its new corner, the face pairs meeting at y, and
+        then either the half corner at y or, when the step closes the face,
+        the fans at y and first with their new corners.  Mutates nothing.
+        The checks that need the closed face run in _append_vertex once the
+        step is applied.
+
+        The new edges need no test of their own.  Candidates exclude the
+        saturated neighbours of the end (of both ends for a closing step),
+        so the edge {v, y} holds at most one face g, and g is closed.  Then
+        y ends an arc of v's fan whose word starts with g's size, and the
+        fan test at v (_validate_vertex, or _half_corner_ok when the face
+        is begun) already requires c next to g's size in the type cycle.
+        The closing edge {y, first} is covered the same way by the fan test
+        at first.  Nor does a face on a new edge need a test for sharing
+        another edge with fid: the open face laid along a second edge of it
+        would either share a third vertex with it, which the pair prune's
+        _shared_ok rejects, or repeat its corner at the path's end, which
+        the fan test rejects first.
 
         Branching order is ascending, with the fresh label (the largest)
         first under fresh_first.  The fan test at v has the same verdict
@@ -496,7 +492,7 @@ class _Search:
         else:
             # the fresh label ends no arc, so it is never tried here
             cands = sorted(raw.intersection(ends))
-        validate, edge_ok = self._validate_vertex, self._edge_ok
+        validate = self._validate_vertex
         half_corner_ok = self._half_corner_ok
         shared_ok = self._shared_ok if self.pair_prune else None
         out = []
@@ -505,7 +501,7 @@ class _Search:
             if y in ends and not (half_corner_ok(v, y, c) if begun
                                   else validate(v, prev, y, c)):
                 continue
-            if not edge_ok(v, y, c) or (shared_ok and not shared_ok(fid, y)):
+            if shared_ok and not shared_ok(fid, y):
                 continue
             if closing:
                 # the closing checks may read the state before the step: its
@@ -513,8 +509,7 @@ class _Search:
                 # and first nor the edge {y, first}; and a face on both new
                 # edges, which would share two edges with fid, shares v and
                 # first with it, which _shared_ok has rejected
-                if not (validate(y, v, first, c) and validate(first, y, path[1], c)
-                        and edge_ok(y, first, c)):
+                if not (validate(y, v, first, c) and validate(first, y, path[1], c)):
                     continue
             elif not half_corner_ok(y, v, c):
                 continue

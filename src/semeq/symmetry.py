@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .mapcore import CombMap, link_cycle
+from .mapcore import CombMap
 
 __all__ = [
     "CanonicalCode",
@@ -416,16 +416,51 @@ class GiGraph:
         return bool(ends) and len(set(ends)) == len(ends)
 
 
-def _link_intersections(m: CombMap):
-    """(a, b, |L(a) & L(b)|) for every vertex pair a < b in label order, where
-    L(v) is the vertex set of v's link; each link set is built once."""
-    links = [set(link_cycle(m, v).boundary) for v in range(1, m.f0 + 1)]
-    for a in range(1, m.f0 + 1):
-        la = links[a - 1]
-        for b in range(a + 1, m.f0 + 1):
-            yield a, b, len(la & links[b - 1])
+def _link_masks(m: CombMap) -> list[int]:
+    """L(v) for each label v as an int bitmask (bit w set for w in L(v);
+    entry 0 unused): the vertices of v's faces other than v.  This is the
+    vertex set of v's link, since the builder refuses pinched vertices, so
+    v's faces are exactly its fan."""
+    masks = [0] * (m.f0 + 1)
+    for f in m.faces:
+        fm = 0
+        for v in f:
+            fm |= 1 << v
+        for v in f:
+            masks[v] |= fm
+    for v in range(1, m.f0 + 1):
+        masks[v] &= ~(1 << v)
+    return masks
+
+
+def _gi_degrees(m: CombMap) -> dict[int, list[int]]:
+    """For each i such that G_i has an edge, the degree of every vertex in
+    G_i (vertex v at index v - 1), from one popcount of L(a) & L(b) per
+    vertex pair a < b.  Only pairs with a common link vertex are counted;
+    G_0 takes the rest of each vertex's n - 1 pairs, and is kept only when
+    some vertex has such a pair."""
+    n = m.f0
+    masks = _link_masks(m)
+    degs: dict[int, list[int]] = {}
+    for a in range(1, n):
+        la = masks[a]
+        for b in range(a + 1, n + 1):
+            k = (la & masks[b]).bit_count()
+            if k:
+                deg = degs.get(k)
+                if deg is None:
+                    deg = degs[k] = [0] * n
+                deg[a - 1] += 1
+                deg[b - 1] += 1
+    zero = [n - 1 - sum(col) for col in zip(*degs.values())] if degs else [n - 1] * n
+    if any(zero):
+        degs[0] = zero
+    return degs
 
 
 def gi_graph(m: CombMap, i: int) -> GiGraph:
-    edges = tuple((a, b) for a, b, k in _link_intersections(m) if k == i)
-    return GiGraph(i=i, vertex_count=m.f0, edges=edges)
+    masks = _link_masks(m)
+    n = m.f0
+    edges = tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1)
+                  if (masks[a] & masks[b]).bit_count() == i)
+    return GiGraph(i=i, vertex_count=n, edges=edges)

@@ -3,7 +3,8 @@
 from fractions import Fraction
 from itertools import permutations
 
-from semeq.symmetry import _encode
+from semeq.mapcore import link_cycle
+from semeq.symmetry import GiGraph, _encode
 from semeq.typecalc import (AdmissiblePair, FilterOptions, VertexTypeSpec, closed_star_size,
                             datta_maity_admissible, face_counts, normalize_cycle, vertex_count_for)
 
@@ -88,3 +89,27 @@ def canonical_scan_full(m) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
         elif code == best:
             starts.append(start)
     return _encode(best), tuple(starts), tuple(best_order)
+
+
+def gi_buckets_pairwise(m) -> dict[int, list[tuple[int, int]]]:
+    """Oracle for the G_i graphs: every vertex pair a < b in label order,
+    bucketed by |L(a) & L(b)|, where L(v) is the vertex set of v's link
+    cycle as link_cycle reads it; each link set is built once."""
+    links = [set(link_cycle(m, v).boundary) for v in range(1, m.f0 + 1)]
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for a in range(1, m.f0 + 1):
+        la = links[a - 1]
+        for b in range(a + 1, m.f0 + 1):
+            buckets.setdefault(len(la & links[b - 1]), []).append((a, b))
+    return buckets
+
+
+def gi_summary_pairwise(m) -> dict:
+    """analyze_map's gi_graphs record, from the pairwise buckets and the
+    degree multiset of each bucket's graph."""
+    buckets = gi_buckets_pairwise(m)
+    out = {}
+    for i in sorted(buckets):
+        degs = GiGraph(i, m.f0, tuple(buckets[i])).degree_multiset()
+        out[str(i)] = {"edges": len(buckets[i]), "degree_multiset_constant": len(set(degs)) == 1}
+    return out

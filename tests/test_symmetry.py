@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CUBE, OCTAHEDRON, TETRAHEDRON
-from oracles import canonical_scan_full
+from oracles import canonical_scan_full, gi_buckets_pairwise, gi_summary_pairwise
 
 from semeq import symmetry
 from semeq.census import analyze_map
@@ -113,6 +113,39 @@ def test_gi_graph_tetrahedron(tetrahedron):
     assert set(g2.edges) == {(a, b) for a in range(1, 5) for b in range(a + 1, 5)}
     g0 = gi_graph(tetrahedron, 0)
     assert g0.edges == ()
+    # every pair shares two link vertices, so there is no bucket "0"
+    assert analyze_map(tetrahedron)["gi_graphs"] == {
+        "2": {"edges": 6, "degree_multiset_constant": True}}
+    # an i that no pair has gives an empty graph
+    assert gi_graph(tetrahedron, 3).edges == () and gi_graph(tetrahedron, 7).edges == ()
+
+
+def test_gi_bucket_with_isolated_vertices_is_not_constant():
+    # G_2 of this map is two disjoint edges on 12 vertices: its degree
+    # multiset mixes 0 and 1, so it is not constant
+    m = fixture_map("chi-1-3e5-4e1-1")
+    g2 = gi_graph(m, 2)
+    assert g2.degree_multiset() == (0,) * 8 + (1,) * 4
+    assert analyze_map(m)["gi_graphs"]["2"] == {"edges": 2, "degree_multiset_constant": False}
+
+
+def test_gi_graphs_match_pairwise_oracle(census_4451, census_35_4):
+    """analyze_map's G_i summary and gi_graph's edge lists against the
+    pairwise oracle, on the fixtures, their truncations and rectifications,
+    the chi = -1 search maps, three shuffled copies of each, and the 16 x 16
+    quad torus."""
+    rng = random.Random(31)
+    bases = list(census_4451.maps) + list(census_35_4.maps)
+    for name in fixture_names():
+        m = fixture_map(name)
+        bases += [m, truncate(m), rectify(m)]
+    cases = [x for m in bases for x in [m] + [shuffled(m, rng) for _ in range(3)]]
+    cases.append(build_from_faces(quad_torus(16)))
+    for m in cases:
+        assert analyze_map(m)["gi_graphs"] == gi_summary_pairwise(m)
+        buckets = gi_buckets_pairwise(m)
+        for i in range(max(buckets) + 2):
+            assert gi_graph(m, i).edges == tuple(buckets.get(i, ())), (m.faces, i)
 
 
 def _cyclic(n, degree):

@@ -19,6 +19,11 @@ runs put at 1.02.
            build the map, truncate and rectify it, and for each of the
            three run analyze_map, isomorphic against the map built from
            the fixture itself, dumps and loads
+  search   the search kernel: exhaustive runs of four chi = -1 rows
+           ([3^5,4^1]/12, [3^1,4^1,3^1,4^2]/12, [6^2,8^1]/24,
+           [3^1,4^1,8^1,4^1]/24) and the fresh_first first-witness search
+           of [4^1,6^1,14^1]/84; each round checks that both sides expand
+           the same number of nodes and find the same canonical codes
 
 Prints, per load, each side's median and quartiles in milliseconds, the
 ratio of B's median to A's, and the number of rounds B was faster.
@@ -102,6 +107,26 @@ class Side:
                 back = sm.loads(sm.dumps(mm))
                 assert back.vertex_count == mm.f0
 
+    def search(self) -> None:
+        sm = self.sm
+        en = sm.enumerator
+        found = []
+        for t, n in SEARCH_ROWS:
+            r = sm.enumerate_maps(t, n, -1)
+            found.append((t, r.stats.nodes, sorted(sm.canonical_code(m).data for m in r.maps)))
+        # exists_any without its wrapper, for the node count
+        t, n = WITNESS_ROW
+        collector, stats = {}, en.EnumerationStats()
+        en._drive(en._normalize_type(t), n, -1, sm.EnumOptions(fresh_first=True),
+                  collector, stats, first_only=True)
+        found.append((t, stats.nodes, sorted(collector)))
+        self.found = found
+
+
+SEARCH_ROWS = (("[3^5,4^1]", 12), ("[3^1,4^1,3^1,4^2]", 12), ("[6^2,8^1]", 24),
+               ("[3^1,4^1,8^1,4^1]", 24))
+WITNESS_ROW = ("[4^1,6^1,14^1]", 84)
+
 
 def timed(fn) -> float:
     gc.collect()
@@ -117,15 +142,18 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
     sides = [Side(load(args.checkout_a, "semeq_a")), Side(load(args.checkout_b, "semeq_b"))]
-    loads = ("scan", "analyze")
+    loads = ("scan", "analyze", "search")
     times = {(load_name, i): [] for load_name in loads for i in (0, 1)}
     for side in sides:  # one untimed round warms both sides up
-        side.scan()
-        side.analyze()
+        for load_name in loads:
+            getattr(side, load_name)()
     for r in range(args.rounds):
         for load_name in loads:
             for i in ((0, 1) if r % 2 == 0 else (1, 0)):
                 times[load_name, i].append(timed(getattr(sides[i], load_name)))
+        # a faster search that expands other nodes or finds other maps is
+        # another search, not a faster one
+        assert sides[0].found == sides[1].found, (sides[0].found, sides[1].found)
     for load_name in loads:
         a, b = times[load_name, 0], times[load_name, 1]
         qa, qb = statistics.quantiles(a, n=4), statistics.quantiles(b, n=4)
