@@ -824,23 +824,24 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
          frontier: Optional[list] = None, first_only: bool = False) -> bool:
     """Depth-first search from the current state.
 
-    ``prefix`` replays recorded child indices for the first levels (the
-    subtree addressing used by parallel workers and checkpoints).  A
-    recorded index that does not exist, or whose step is rejected, raises
+    ``prefix`` is replayed first: a path of child indices from the current
+    state to the root of the subtree to search (the subtree addressing used
+    by parallel workers and checkpoints).  An index that names no child (a
+    leaf has none), or whose step is rejected, raises
     CorruptCheckpointError: a valid path only records steps that were
-    applied, so the subtree it names would otherwise be lost unseen.  When
-    ``split_depth`` is set, subtrees rooted at that depth are appended to
-    ``frontier`` instead of being explored.  Returns False when the subtree
-    was cut before it was finished: the node quota ran out, or
-    ``first_only`` collected a map.
+    applied, so the subtree it names would otherwise be lost unseen.
+    Replayed nodes count no nodes and no prunes.  When ``split_depth`` is
+    set, the subtrees rooted that many levels below the start are appended
+    to ``frontier`` (as their paths) instead of being explored.  Returns
+    False when the subtree was cut before it was finished: the node quota
+    ran out, or ``first_only`` collected a map.
 
     find_slot filters an extension node's candidates: each candidate of the
     chosen end that fails _append_ok counts one ``constraint`` prune when
-    the node is opened (a replayed node counts none), and the children, the
-    candidates that passed, are applied untested.  A closing step still
-    checks the closed face once applied, and a new face is applied before
-    it is checked; each step rejected there, and unwound, counts one
-    ``constraint`` prune more.
+    the node is opened, and the children, the candidates that passed, are
+    applied untested.  A closing step still checks the closed face once
+    applied, and a new face is applied before it is checked; each step
+    rejected there, and unwound, counts one ``constraint`` prune more.
 
     A loop over a stack, not a recursion: CPython allocates and frees a
     frame chunk on each call that crosses a chunk boundary, so under
@@ -848,85 +849,64 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     """
     nodes = 0
     pruned = 0
-    cut = False
-    track = split_depth is not None
-    # open nodes, root first: (depth, path, children left, count_nodes,
-    # a, b of the slot, whether it starts a new face); marks[i]: the
-    # journal mark before open node i's current child
-    stack: list[tuple] = []
-    marks: list[int] = []
-    depth, path = 0, ()
     mark0 = st.mark()
     try:
+        for idx in prefix:
+            kind, a, b, cands = st.find_slot()
+            if idx >= len(cands):
+                raise CorruptCheckpointError("recorded branch index does not exist at replay")
+            if not (st._start_face(cands[idx], b, a) if kind == "start"
+                    else st._append_vertex(a, cands[idx])):
+                raise CorruptCheckpointError("recorded branch is rejected at replay")
+        # one entry per open node, root first: [children left, a, b of its
+        # slot, whether it starts a new face, the journal mark before its
+        # children, the index of its applied child]
+        stack: list[list] = []
         while True:
             kind, a, b, cands = st.find_slot()  # the node the state stands at
-            if kind == "complete" or (track and depth >= split_depth):
-                if kind != "complete":
-                    frontier.append(path)
-                elif _on_complete(st, stats, collector, first_only) and first_only:
-                    cut = True
-                if marks:
-                    st.undo_to(marks.pop())
+            if kind == "complete":
+                if _on_complete(st, stats, collector, first_only) and first_only:
+                    return False
+            elif split_depth is not None and len(stack) >= split_depth:
+                frontier.append(tuple(entry[5] for entry in stack))
             else:
                 start = kind == "start"
-                if depth < len(prefix):
-                    idx = prefix[depth]
-                    if idx >= len(cands):
-                        raise CorruptCheckpointError("recorded branch index does not "
-                                                     "exist at replay")
-                    chosen = iter(((idx, cands[idx]),))
-                    count_nodes = False
-                else:
-                    if rng is not None:
-                        cands = list(cands)
-                        rng.shuffle(cands)
-                    chosen = enumerate(cands)
-                    count_nodes = True
-                    if not start:
-                        pruned += b  # the candidates find_slot rejected
-                stack.append((depth, path, chosen, count_nodes, a, b, start))
+                if not start:
+                    pruned += b  # the candidates find_slot rejected
+                if rng is not None:
+                    cands = list(cands)
+                    rng.shuffle(cands)
+                stack.append([enumerate(cands), a, b, start, st.mark(), 0])
             # apply the next child of the deepest open node, closing the
             # nodes that have none left
             while stack:
-                depth, path, chosen, count_nodes, a, b, start = stack[-1]
-                for idx, cand in chosen:
-                    if cut:
-                        break
-                    m = st.mark()
-                    if start:
-                        # a new face of size cand at vertex a, next to b
-                        ok = st._start_face(cand, b, a)
-                    else:
-                        # extend face a by the label cand
-                        ok = st._append_vertex(a, cand)
+                entry = stack[-1]
+                children, a, b, start, m, _ = entry
+                st.undo_to(m)
+                for idx, cand in children:
+                    # a new face of size cand at vertex a, next to b; or
+                    # face a extended by the label cand
+                    ok = st._start_face(cand, b, a) if start else st._append_vertex(a, cand)
                     if ok:
-                        if count_nodes:
-                            nodes += 1
-                            if node_quota is not None and nodes > node_quota:
-                                cut = True
-                                stats.bump("budget")
-                        if not cut:
-                            marks.append(m)
-                            break
-                    elif not count_nodes:
-                        raise CorruptCheckpointError("recorded branch is rejected at replay")
-                    else:
-                        pruned += 1
+                        break
+                    pruned += 1
                     st.undo_to(m)
-                if len(marks) == len(stack):  # a child was applied: search it
-                    depth, path = depth + 1, (path + (idx,) if track else path)
-                    break
-                stack.pop()
-                if marks:
-                    st.undo_to(marks.pop())
-            else:
+                else:
+                    stack.pop()
+                    continue
+                nodes += 1
+                if node_quota is not None and nodes > node_quota:
+                    stats.bump("budget")
+                    return False
+                entry[5] = idx
                 break
+            else:
+                return True
     finally:
         st.undo_to(mark0)
         stats.nodes += nodes
         if pruned:
             stats.prunes["constraint"] = stats.prunes.get("constraint", 0) + pruned
-    return not cut
 
 
 def _fresh_search(cycle: tuple[int, ...], n: int, budgets: dict[int, int],

@@ -122,7 +122,6 @@ class CombMap:
         "s1",
         "s2",
         "vertex_of",
-        "edge_of",
         "face_of",
         "f0",
         "f1",
@@ -133,13 +132,12 @@ class CombMap:
         "_canon",
     )
 
-    def __init__(self, s0, s1, s2, vertex_of, edge_of, face_of, f0, f1, f2, faces, edges):
+    def __init__(self, s0, s1, s2, vertex_of, face_of, f0, f1, f2, faces, edges):
         self.flag_count = len(s0)
         self.s0 = s0
         self.s1 = s1
         self.s2 = s2
         self.vertex_of = vertex_of
-        self.edge_of = edge_of
         self.face_of = face_of
         self.f0 = f0
         self.f1 = f1
@@ -176,7 +174,8 @@ def _compute_fans(m: CombMap):
 
     Starting at any flag of v, alternately applying s1 and s2 walks the
     umbrella of corners around v; recording the face at every step and the
-    edge crossed between steps yields the face cycle with its junctions.
+    far end of the edge crossed between steps (the vertex of the flag's s0
+    image) yields the face cycle with its junctions.
     """
     start_flag = [-1] * m.f0
     for fl in range(m.flag_count):
@@ -191,8 +190,7 @@ def _compute_fans(m: CombMap):
         cur = fl
         while True:
             fan.append(m.face_of[cur])
-            a, b = m.edges[m.edge_of[cur]]
-            nbrs.append(a if b == v + 1 else b)
+            nbrs.append(m.vertex_of[m.s0[cur]] + 1)
             cur = m.s2[m.s1[cur]]
             if cur == fl:
                 break
@@ -231,13 +229,11 @@ def build_from_faces(flm: FaceListMap) -> CombMap:
             )
 
     edges = sorted(edge_slots)
-    edge_index = {e: i for i, e in enumerate(edges)}
 
     s0 = [0] * nflags
     s1 = [0] * nflags
     s2 = [0] * nflags
     vertex_of = [0] * nflags
-    edge_of = [0] * nflags
     face_of = [0] * nflags
 
     for fi, f in enumerate(faces):
@@ -245,12 +241,10 @@ def build_from_faces(flm: FaceListMap) -> CombMap:
         base = slot_base[fi]
         for i in range(k):
             a, b = f[i], f[(i + 1) % k]
-            key = (a, b) if a < b else (b, a)
             s = base + i
             fl0, fl1 = 2 * s, 2 * s + 1
             s0[fl0], s0[fl1] = fl1, fl0
             vertex_of[fl0], vertex_of[fl1] = a - 1, b - 1
-            edge_of[fl0] = edge_of[fl1] = edge_index[key]
             face_of[fl0] = face_of[fl1] = fi
             # s1 joins the two edge-sides meeting at vertex f[i+1] inside f
             nxt = base + (i + 1) % k
@@ -271,7 +265,6 @@ def build_from_faces(flm: FaceListMap) -> CombMap:
         s1=s1,
         s2=s2,
         vertex_of=vertex_of,
-        edge_of=edge_of,
         face_of=face_of,
         f0=flm.vertex_count,
         f1=len(edges),

@@ -311,20 +311,18 @@ def recognize_group(elements) -> str:
     return f"unrecognized({order})"
 
 
-def automorphism_group(m: CombMap) -> PermGroup:
-    """The full automorphism group from the canonical-code scan.
+def _automorphisms(m: CombMap):
+    """Aut(m) from the canonical-code scan, in the order of its starts: one
+    (flag permutation, vertex permutation) pair per element, 0-based.  The
+    flag permutation is one list, overwritten for the next element.
 
     Every code-minimizing start flag s gives exactly one automorphism, the
-    one carrying the first minimizing start to s; the group order is the
-    number of such flags.  An automorphism commutes with s0, s1 and s2, so
-    it is written out along the reference traversal, each flag's image
-    read from that of the earlier flag it was reached from, with no
-    traversal from s.  The vertex projection is checked to be faithful;
-    polyhedral maps never trip this.  The structure label is named from
-    that vertex action: a faithful action names the same group, and its
-    permutations are on f0 points, not on the 2d points per vertex of
-    degree d that the flags give.
-    """
+    one carrying the first minimizing start to s.  An automorphism commutes
+    with s0, s1 and s2, so a flag's image is read from that of the earlier
+    flag it was reached from in the reference traversal, with no traversal
+    from s, and a vertex's image is the vertex of its first flag's image.
+    The vertex action is checked to be faithful; polyhedral maps never trip
+    this."""
     form = _canonical_form(m)
     order, vertex_of = form.order, m.vertex_of
     # (flag, earlier flag, involution carrying the earlier one to it)
@@ -337,44 +335,51 @@ def automorphism_group(m: CombMap) -> PermGroup:
             if not reached[img]:
                 reached[img] = True
                 steps.append((img, fl, inv))
-    elements = []
-    vertex_elements = []
-    seen_vertex = set()
+    first = [0] * m.f0  # each vertex's first flag in the traversal
+    for fl in reversed(order):
+        first[vertex_of[fl]] = fl
+    seen = set()
+    perm = [0] * m.flag_count
     for s in form.starts:
-        perm = [0] * m.flag_count
         perm[order[0]] = s
         for fl, prev, inv in steps:
             perm[fl] = inv[perm[prev]]
-        vperm = [0] * m.f0
-        for fl, img in enumerate(perm):
-            vperm[vertex_of[fl]] = vertex_of[img]
+        vt = tuple([vertex_of[perm[fl]] for fl in first])
+        if vt in seen:
+            raise ValueError("vertex projection of the automorphism group is not faithful")
+        seen.add(vt)
+        yield perm, vt
+
+
+def automorphism_group(m: CombMap) -> PermGroup:
+    """The full automorphism group from the canonical-code scan, every
+    element written out (_automorphisms).  The structure label is named
+    from the vertex action: a faithful action names the same group, and its
+    permutations are on f0 points, not on the 2d points per vertex of
+    degree d that the flags give.
+    """
+    elements, vertex_elements = [], []
+    for perm, vt in _automorphisms(m):
         elements.append(tuple(perm))
-        vt = tuple(vperm)
-        if vt in seen_vertex:
-            raise ValueError(
-                "vertex projection of the automorphism group is not faithful"
-            )
-        seen_vertex.add(vt)
         vertex_elements.append(vt)
-    structure = recognize_group(vertex_elements)
     return PermGroup(
         degree=m.flag_count,
         elements=tuple(elements),
         vertex_action=tuple(vertex_elements),
         order=len(elements),
-        structure=structure,
+        structure=recognize_group(vertex_elements),
     )
 
 
 def _group_summary(m: CombMap) -> tuple[int, str, list[tuple[int, ...]]]:
     """The order, structure label and vertex orbits of Aut(m), read from the
     cached scan without writing the group out: the order is the number of
-    code-minimizing start flags.  The elements are written out
-    (automorphism_group) only when recognize_group needs them, up to its
-    catalog order; a larger group is unrecognized by its order alone."""
+    code-minimizing start flags.  The vertex action alone is written
+    (_automorphisms) only when recognize_group needs it, up to its catalog
+    order; a larger group is unrecognized by its order alone."""
     order = len(_canonical_form(m).starts)
     if order <= _CATALOG_ORDER:
-        structure = automorphism_group(m).structure
+        structure = recognize_group([vt for _, vt in _automorphisms(m)])
     else:
         structure = f"unrecognized({order})"
     return order, structure, vertex_orbits(m)

@@ -133,9 +133,6 @@ class VertexTypeSpec:
             parts.append(f"{p}^{n}" if n > 1 else f"{p}^1")
         return "[" + ",".join(parts) + "]"
 
-    def equivalent_to(self, other: "VertexTypeSpec") -> bool:
-        return self.cycle == other.cycle
-
 
 def parse_type(text: str) -> VertexTypeSpec:
     """Parse bracket notation like ``[3^2,4^1,3^1,5^1]`` or a bare size list.

@@ -331,6 +331,38 @@ def test_tampered_path_past_children_refused(tmp_path):
         _resume_with_first_path(tmp_path, lambda pending: pending[0][:-1] + (3,))
 
 
+def _first_leaf_path(tstr, n):
+    """The child indices, as find_slot lists them, from the root of the
+    search to the first node it completes in depth-first order."""
+    spec = parse_type(tstr)
+    st = _fresh_search(spec.cycle, n, face_counts(spec, n), True)
+
+    def dfs():
+        kind, a, b, cands = st.find_slot()
+        if kind == "complete":
+            return ()
+        for idx, cand in enumerate(cands):
+            mark = st.mark()
+            ok = st._start_face(cand, b, a) if kind == "start" else st._append_vertex(a, cand)
+            rest = dfs() if ok else None
+            st.undo_to(mark)
+            if rest is not None:
+                return (idx,) + rest
+        return None
+
+    return dfs()
+
+
+def test_tampered_path_past_a_leaf_refused(tmp_path):
+    # a completed node has no children, so a path that runs one index past
+    # it names no subtree; resuming it would collect the leaf and report the
+    # pending subtree it replaced as searched
+    leaf = _first_leaf_path("[3^5,4^1]", 12)
+    assert leaf is not None
+    with pytest.raises(CorruptCheckpointError, match="does not exist"):
+        _resume_with_first_path(tmp_path, lambda pending: leaf + (0,))
+
+
 def test_fresh_first_witness_pinned():
     # the census witness rows depend on the fresh_first branch order
     m = exists_any("[3^1,4^1,7^1,4^1]", 42, -1, EnumOptions(fresh_first=True))

@@ -24,6 +24,14 @@ runs put at 1.02.
            [3^1,4^1,8^1,4^1]/24) and the fresh_first first-witness search
            of [4^1,6^1,14^1]/84; each round checks that both sides expand
            the same number of nodes and find the same canonical codes
+  split    checkpointed runs, split into subtree paths but in one process,
+           of three chi = -1 rows ([3^5,4^1]/12, [6^2,8^1]/24,
+           [3^1,4^1,8^1,4^1]/24): for each, a run to the end, which replays
+           every path of the split frontier, a session cut at that run's
+           node count (the row's serial count, which a split run divides
+           into per-path quotas) and that session resumed; each round
+           checks that both sides give the same stats, codes and complete
+           flags
 
 Prints, per load, each side's median and quartiles in milliseconds, the
 ratio of B's median to A's, and the number of rounds B was faster.
@@ -34,9 +42,11 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import os
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,6 +82,7 @@ class Side:
 
     def __init__(self, sm):
         self.sm = sm
+        self.found = {}
         rng = random.Random(1)
 
         def shuffled(flm):
@@ -120,12 +131,28 @@ class Side:
         en._drive(en._normalize_type(t), n, -1, sm.EnumOptions(fresh_first=True),
                   collector, stats, first_only=True)
         found.append((t, stats.nodes, sorted(collector)))
-        self.found = found
+        self.found["search"] = found
+
+    def split(self) -> None:
+        sm = self.sm
+        found = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, (t, n) in enumerate(SPLIT_ROWS):
+                whole = os.path.join(tmp, f"{k}.whole")
+                part = os.path.join(tmp, f"{k}.cut")
+                run = sm.enumerate_maps(t, n, -1, sm.EnumOptions(checkpoint_path=whole))
+                cut = sm.enumerate_maps(t, n, -1, sm.EnumOptions(
+                    checkpoint_path=part, node_budget=run.stats.nodes))
+                resumed = sm.enumerate_maps(t, n, -1, sm.EnumOptions(checkpoint_path=part))
+                found.append([(r.complete, r.stats.to_dict(), r.codes)
+                              for r in (run, cut, resumed)])
+        self.found["split"] = found
 
 
 SEARCH_ROWS = (("[3^5,4^1]", 12), ("[3^1,4^1,3^1,4^2]", 12), ("[6^2,8^1]", 24),
                ("[3^1,4^1,8^1,4^1]", 24))
 WITNESS_ROW = ("[4^1,6^1,14^1]", 84)
+SPLIT_ROWS = (("[3^5,4^1]", 12), ("[6^2,8^1]", 24), ("[3^1,4^1,8^1,4^1]", 24))
 
 
 def timed(fn) -> float:
@@ -142,7 +169,7 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
     sides = [Side(load(args.checkout_a, "semeq_a")), Side(load(args.checkout_b, "semeq_b"))]
-    loads = ("scan", "analyze", "search")
+    loads = ("scan", "analyze", "search", "split")
     times = {(load_name, i): [] for load_name in loads for i in (0, 1)}
     for side in sides:  # one untimed round warms both sides up
         for load_name in loads:
@@ -151,8 +178,8 @@ def main() -> None:
         for load_name in loads:
             for i in ((0, 1) if r % 2 == 0 else (1, 0)):
                 times[load_name, i].append(timed(getattr(sides[i], load_name)))
-        # a faster search that expands other nodes or finds other maps is
-        # another search, not a faster one
+        # a faster search that expands other nodes, finds other maps or
+        # cuts elsewhere is another search, not a faster one
         assert sides[0].found == sides[1].found, (sides[0].found, sides[1].found)
     for load_name in loads:
         a, b = times[load_name, 0], times[load_name, 1]
