@@ -1,4 +1,4 @@
-"""Exhaustive isomorph-free generation of semi-equivelar maps.
+"""Exhaustive generation of semi-equivelar maps, one per isomorphism class.
 
 The generator mechanizes link completion: fix the closed star of vertex 1 in
 canonical position (its fan is the type cycle, boundary labeled 2, 3, ... in
@@ -8,11 +8,12 @@ is extended vertex by vertex until it closes, so the face occupying any
 chosen corner is either already present or genuinely new.  Branches reuse
 existing labels in ascending order and may introduce at most the single next
 fresh label, which together with the fixed root star eliminates label
-symmetry.  The search still completes each isomorphism class once for every
-flag rooting it in that position, so completions are collected by canonical
-code, and a class table spares the scan: the first completion of a class is
-scanned and kept, and a later one is known by the traversal code of one of
-its flags (_class_code) and dropped.
+symmetry, but not the choice of root: the search completes a class C once
+for every flag rooting it in that position, n*s/|Aut(C)| times, where s
+counts the rotations and reflections that fix the type cycle.  So the
+completions are deduplicated by canonical code, and a class table spares the
+scan: the first completion of a class is scanned and kept, and a later one
+is known by the traversal code of one of its flags (_class_code) and dropped.
 
 State is mutated in place with an undo journal of one record per applied
 step, which carries the undo data of every change the step made, so a step
@@ -35,15 +36,11 @@ The raw candidates of an end are a set of plain labels, built by set
 operations: the labels whose fan is still open (a set kept as corners close
 and labels are taken) less the path and the end's saturated neighbours
 (edges with two faces), plus the next unused label, which is the fresh one.
-The edge and face-pair tables are flat lists indexed by one integer per
-vertex pair or face pair, so no lookup builds a tuple key.  The state stores
-each fact once: whether a face or a fan is closed is read from its path
-length or corner count, not kept beside them.  Every prune is a necessary
-condition (edge used by at most two faces, the polyhedral face-intersection
-rules, partial fans embedding into the type cycle, face and label budgets),
-hence the search is exhaustive: it visits a superset of every map of the
-requested type, and each surviving completion is checked again by the full
-polyhedrality validator before being emitted.
+Every prune is a necessary condition (edge used by at most two faces, the
+polyhedral face-intersection rules, partial fans embedding into the type
+cycle, face and label budgets), hence the search is exhaustive: it visits a
+superset of every map of the requested type, and each surviving completion
+is checked again by the full polyhedrality validator before being emitted.
 """
 
 from __future__ import annotations
@@ -86,8 +83,8 @@ class InconsistentParametersError(ValueError):
 class CorruptCheckpointError(ValueError):
     """Checkpoint is not a format-3 JSON document of the expected layout, was
     written for other parameters, holds a face list that does not build into
-    a polyhedral map of the type, or records a subtree path the search does
-    not have."""
+    a polyhedral map of the type, records a subtree path the search does
+    not have, or records one subtree twice."""
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ class _Search:
     per vertex or face pair, so a lookup builds no key.  The open face is
     always the newest, so every pair it forms has it as f.
     ``saturated[v]`` holds the neighbours u whose edge {v, u} carries two
-    faces, kept by _put_edge and its undo.  ``open`` holds the labels up to
+    faces, kept with the edge table.  ``open`` holds the labels up to
     labels_used whose fan is still open (fewer than d corners): a label
     joins when it is taken fresh and leaves with its d-th corner.  seed
     starts it as the root star's labels, and vertex 1 leaves when the star
@@ -221,17 +218,21 @@ class _Search:
 
     find_slot gives the next node as ("extend", fid, rejected, children),
     ("start", v, x, sizes) or ("complete", None, None, ()).  The children of
-    an extension node are the candidate labels that pass _append_ok at the
-    chosen end of the open face, in branching order, with that end
-    turned last in the path (a journaled reversal); rejected counts the
-    candidates of that end that failed, raw count less children.
+    an extension node are the candidate labels that pass at the chosen end
+    of the open face, in branching order, with that end turned last in the
+    path (a journaled reversal); rejected counts the candidates of that
+    end that failed, raw count less children.  One loop (_passing) tests
+    every candidate of an end, with no call per candidate, and the steps
+    are applied and undone in place, each table written where it is used.
 
     The journal holds one record per applied step: (0, fid, y, fresh, edge
-    key, corner) for an extension, with the closing edge key and the
-    corners at y and at the first vertex appended when the step closes
-    the face; (1, fid, x) for a face begun at x, which the extension by
-    its second vertex follows; (7, fid) for a reversed path.  The mutators
-    return their undo data, and undo_to unwinds each record in one pass.
+    keys, corner) for an extension, with the closing edge's key among the
+    keys and the corners at y and at the first vertex appended when the
+    step closes the face; (1, fid, x) for a face begun at x, which the
+    extension by its second vertex follows; (7, fid) for a reversed path.
+    The face-pair entries of a step are those of fid and its added vertex.
+    undo_to unwinds each record in one pass, popping exactly the records
+    past the mark.
     """
 
     def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
@@ -269,58 +270,51 @@ class _Search:
         return len(self.journal)
 
     def undo_to(self, mark: int) -> None:
-        """Unwind the journal to mark, one record per applied step, each
-        undone in the reverse order of its changes."""
+        """Unwind the journal to mark, one record per applied step.  The
+        changes of a step touch distinct table slots (its corners sit at
+        distinct vertices), so their order of undoing is free: here the
+        corners and the path, then the edges, then the face-pair entries."""
         j = self.journal
-        fpath = self.fpath
-        undo_edge, undo_corner = self._undo_edge, self._undo_corner
-        while len(j) > mark:
+        fpath, ef, sat, width = self.fpath, self.edge_faces, self.saturated, self.width
+        pv, nf, vfaces = self.pair_verts, self.nfaces, self.vfaces
+        pair_prune, undo_corner = self.pair_prune, self._undo_corner
+        for _ in range(len(j) - mark):
             op = j.pop()
             tag = op[0]
-            if tag == 0:  # face fid extended by y; closed too when op has 9 fields
-                fid, y = op[1], op[2]
+            if tag == 7:  # path reversed
+                fpath[op[1]].reverse()
+                continue
+            fid, y = op[1], op[2]
+            if tag == 1:  # face fid begun at y, its only vertex
+                self.budget[self.fsize.pop()] += 1
+                fpath.pop()
+            else:  # face fid extended by y; closed too when op has 8 fields
                 if len(op) > 6:
-                    undo_corner(op[8])
                     undo_corner(op[7])
-                    undo_edge(op[6])
+                    undo_corner(op[6])
                 fpath[fid].pop()
                 if op[5] is not None:
                     undo_corner(op[5])
-                if self.pair_prune:
-                    self._undo_shared(fid, y)
-                undo_edge(op[4])
+                for key in op[4]:
+                    lst = ef[key]
+                    lst.pop()
+                    if not lst:
+                        ef[key] = None
+                    else:
+                        a, b = divmod(key, width)
+                        sat[a].discard(b)
+                        sat[b].discard(a)
                 if op[3]:  # y was the fresh label
                     self.labels_used -= 1
                     self.open.remove(y)
-            elif tag == 1:  # face fid begun at x
-                fid = op[1]
-                if self.pair_prune:
-                    self._undo_shared(fid, op[2])
-                self.budget[self.fsize.pop()] += 1
-                fpath.pop()
-            else:  # tag 7: path reversed
-                fpath[op[1]].reverse()
-
-    def _undo_edge(self, key: int) -> None:
-        lst = self.edge_faces[key]
-        lst.pop()
-        if not lst:
-            self.edge_faces[key] = None
-        else:
-            a, b = divmod(key, self.width)
-            self.saturated[a].discard(b)
-            self.saturated[b].discard(a)
-
-    def _undo_shared(self, fid: int, y: int) -> None:
-        vf = self.vfaces[y]
-        vf.pop()
-        pv, nf = self.pair_verts, self.nfaces
-        for g in vf:
-            key = g * nf + fid
-            lst = pv[key]
-            lst.pop()
-            if not lst:
-                pv[key] = None
+            if pair_prune:
+                vf = vfaces[y]
+                vf.pop()
+                for g in vf:
+                    lst = pv[g * nf + fid]
+                    lst.pop()
+                    if not lst:
+                        pv[g * nf + fid] = None
 
     def _undo_corner(self, rec: tuple) -> None:
         """Remove a corner, restoring the arc-end entries it replaced."""
@@ -354,25 +348,6 @@ class _Search:
                 return False
         return (f_fits or f in efs) and g in efs
 
-    def _shared_ok(self, fid: int, y: int) -> bool:
-        """Extending the open face fid by y keeps every face pair meeting at
-        y within the polyhedral intersection conditions."""
-        path = self.fpath[fid]
-        v, first = path[-1], path[0]
-        pv = self.pair_verts
-        nf = self.nfaces
-        for g in self.vfaces[y]:
-            lst = pv[g * nf + fid]
-            if lst is None:
-                continue
-            if len(lst) >= 2:
-                return False
-            # fid will carry {v, y}, and can still close on {first, y}
-            u = lst[0]
-            if not self._pair_feasible(fid, g, u, y, u == v or u == first):
-                return False
-        return True
-
     def _recheck_pairs(self, fid: int) -> bool:
         """After fid closes, pairs that were deferred while it could still
         close on the shared edge must be re-validated."""
@@ -394,18 +369,19 @@ class _Search:
         """Whether the fan of v stays valid when a corner between
         neighbours a and b, of a face with size character c, joins it.  A
         pure test: the corner is not added, so a candidate can be rejected
-        before anything is applied.
+        before anything is applied.  The written rule: _passing applies it
+        through _fan_facts and, at y on a closing step, written out inline.
 
         The fan is read from the arc-end table ``ends[v]``.  The corner joins
         at most two arcs, the ones ending at a and at b, so the test is two
         lookups plus one lookup of the joined size word in ``words``; the
         word has at most d sizes.  A d-th corner is accepted only when it
         closes the fan, so a fan is closed exactly when it has d corners.
-        Closing an arc into a cycle is legal only as the
-        whole fan; otherwise every arc must embed in the type cycle, and
-        joining k arcs into the fan takes at least k more corners.  A fan
-        one corner short needs no further test: a word of d - 1 sizes that
-        embeds is completed by the missing size.
+        Closing an arc into a cycle is legal only as the whole fan;
+        otherwise every arc must embed in the type cycle, and joining k arcs
+        into the fan takes at least k more corners.  A fan one corner short
+        needs no further test: a word of d - 1 sizes that embeds is
+        completed by the missing size.
         """
         count = self.corner_count[v] + 1
         d = self.d
@@ -434,13 +410,23 @@ class _Search:
             return False
         return word in self.words
 
-    def _half_corner_ok(self, y: int, v: int, c: str) -> bool:
-        """A face of size character c is laid along edge {v, y} without a
-        corner at y yet.  If an arc of y's fan ends at v, the face is forced
-        to sit next to it in y's fan, so the arc word extended by c must
-        still embed."""
-        arc = self.ends[y].get(v)
-        return arc is None or c + arc[1] in self.words
+    def _fan_facts(self, v: int, a: int, c: str) -> tuple:
+        """_validate_vertex(v, a, y, c) for every label y at once, as (off,
+        room, head, closer, close_ok).  A y that ends no arc of v gets off;
+        the other end of the arc at a, closer (0 when a ends none), gets
+        close_ok; a y that ends any other arc passes when room holds and
+        head plus the word of y's arc is in words.  k counts the corners
+        still missing once this one joins.  Words are closed under
+        reversal, so the arc at a may as well be read from its other end."""
+        ends = self.ends[v]
+        k = self.d - self.corner_count[v] - 1
+        arcs = len(ends) >> 1
+        arc = ends.get(a)
+        if arc is None:  # the corner starts an arc, or extends y's by c
+            return k > arcs, k >= arcs, c, 0, False
+        words = self.words
+        return (k >= arcs and c + arc[1] in words, k >= arcs - 1, ends[arc[0]][1] + c,
+                arc[0], not k and c + arc[1] in words)
 
     def _append_ok(self, fid: int, y: int) -> bool:
         """Whether extending the open face fid by y passes the checks of
@@ -450,71 +436,110 @@ class _Search:
     def _passing(self, fid: int, raw: set, limit: int) -> list:
         """The labels of raw, in branching order, whose extension of the
         open face fid passes the checks of the step that the current state
-        decides, stopping once limit of them pass: the fan at v (the path's
-        last vertex) with its new corner, the face pairs meeting at y, and
-        then either the half corner at y or, when the step closes the face,
-        the fans at y and first with their new corners.  Mutates nothing.
-        The checks that need the closed face run in _append_vertex once the
-        step is applied.
+        decides, stopping once limit of them pass.  Mutates nothing; the
+        checks that need the closed face run in _append_vertex once the
+        step is applied.  Branching order is ascending, with the fresh
+        label (the largest) first under fresh_first.
 
-        The new edges need no test of their own.  Candidates exclude the
-        saturated neighbours of the end (of both ends for a closing step),
-        so the edge {v, y} holds at most one face g, and g is closed.  Then
-        y ends an arc of v's fan whose word starts with g's size, and the
-        fan test at v (_validate_vertex, or _half_corner_ok when the face
-        is begun) already requires c next to g's size in the type cycle.
-        The closing edge {y, first} is covered the same way by the fan test
-        at first.  Nor does a face on a new edge need a test for sharing
+        One loop tests each label inline, with no call per label: the fan
+        at v (the path's last vertex) with its new corner, the face pairs
+        meeting at y, then either the half corner at y or, when the step
+        closes the face, the fans at y and first with their new corners.
+        The facts of the fans at v and first that do not depend on y are
+        read once (_fan_facts): a label that ends no arc there takes one
+        shared verdict, and one that ends an arc takes one word lookup.
+        When the verdict at v is False the fan is forced, and only the
+        labels of raw that end an arc of v are tried (the fresh label ends
+        none).  The fan at y is _validate_vertex(y, v, first, c) written
+        out.  A begun face gives v the new edge but no corner: where an arc
+        of v ends at y, the face is forced next to it, so c must extend the
+        arc's word, and the half corner at y is the same test from y.  The
+        pair test is _pair_feasible's: a closed face g that shares a vertex
+        u with fid may share y only along the edge {u, y}, carrying g
+        alone, which fid lays now (u is v) or may close on (u is first,
+        rechecked once the face closes).
+
+        Candidates exclude the saturated neighbours of the end (of both
+        ends for a closing step), so the edge {v, y} holds at most one face
+        g, and g is closed.  So y ends an arc of v exactly when v ends an
+        arc of y, and the new edges need no test of their own: the arc's
+        word starts with g's size, and the fan test at v requires c next to
+        it in the type cycle; the fan test at first covers the closing edge
+        {y, first}.  Nor does a face on a new edge need a test for sharing
         another edge with fid: the open face laid along a second edge of it
-        would either share a third vertex with it, which the pair prune's
-        _shared_ok rejects, or repeat its corner at the path's end, which
-        the fan test rejects first.
-
-        Branching order is ascending, with the fresh label (the largest)
-        first under fresh_first.  The fan test at v has the same verdict
-        for every label that ends none of v's arcs, so it is taken once;
-        when it is False the fan is forced, and only the labels of raw that
-        end an arc of v are tried.  When the face is being begun, v gets the
-        new edge but no corner, and only a label that ends an arc there
-        needs the half-corner test."""
+        would either share a third vertex with it, which the pair test
+        rejects, or repeat its corner at the path's end, which the fan test
+        rejects first.  The closing tests may read the state before the
+        step: its edge {v, y} and corner at v touch neither the fans of y
+        and first nor the edge {y, first}."""
         path = self.fpath[fid]
         v, first = path[-1], path[0]
         c = self.size_char[self.fsize[fid]]
         ends = self.ends[v]
-        begun = len(path) == 1
-        prev = None if begun else path[-2]
-        closing = len(path) + 1 == self.fsize[fid]
-        # 0 is no label, so it ends no arc
-        if begun or self._validate_vertex(v, prev, 0, c):
+        if len(path) == 1:  # begun: a half corner at v
+            off, room, head, closer, close_ok = True, True, c, 0, False
+        else:
+            off, room, head, closer, close_ok = self._fan_facts(v, path[-2], c)
+        if off:
             cands = sorted(raw)
             if self.fresh_first and cands and cands[-1] > self.labels_used:
                 cands.insert(0, cands.pop())
         else:
-            # the fresh label ends no arc, so it is never tried here
             cands = sorted(raw.intersection(ends))
-        validate = self._validate_vertex
-        half_corner_ok = self._half_corner_ok
-        shared_ok = self._shared_ok if self.pair_prune else None
+        closing = len(path) + 1 == self.fsize[fid]
+        if closing:
+            f_off, f_room, f_head, f_closer, f_close_ok = self._fan_facts(first, path[1], c)
+            f_ends, cc, d = self.ends[first], self.corner_count, self.d
+        words, all_ends, pair_prune, vfaces = self.words, self.ends, self.pair_prune, self.vfaces
+        pv, nf, ef, width = self.pair_verts, self.nfaces, self.edge_faces, self.width
         out = []
         for y in cands:
             # the fan test comes first: it rejects the most candidates
-            if y in ends and not (half_corner_ok(v, y, c) if begun
-                                  else validate(v, prev, y, c)):
-                continue
-            if shared_ok and not shared_ok(fid, y):
-                continue
-            if closing:
-                # the closing checks may read the state before the step: its
-                # edge {v, y} and corner at v touch neither the fans of y
-                # and first nor the edge {y, first}; and a face on both new
-                # edges, which would share two edges with fid, shares v and
-                # first with it, which _shared_ok has rejected
-                if not (validate(y, v, first, c) and validate(first, y, path[1], c)):
+            if y in ends:
+                if not (close_ok if y == closer else room and head + ends[y][1] in words):
                     continue
-            elif not half_corner_ok(y, v, c):
-                continue
+                if not closing and c + all_ends[y][v][1] not in words:
+                    continue  # the half corner at y
+            if pair_prune:
+                ok = True
+                for g in vfaces[y]:
+                    lst = pv[g * nf + fid]
+                    if lst is not None:
+                        # a list holds distinct vertices, an edge distinct faces
+                        u = lst[0]
+                        efs = ef[u * width + y if u < y else y * width + u]
+                        if (lst[-1] != u or efs is None or efs[0] != g or efs[-1] != g
+                                or u != v and u != first):
+                            ok = False
+                            break
+                if not ok:
+                    continue
+            if closing:
+                if y in f_ends:
+                    if not (f_close_ok if y == f_closer
+                            else f_room and f_head + f_ends[y][1] in words):
+                        continue
+                elif not f_off:
+                    continue
+                # the fan at y: an arc of y ends at v (at first) exactly
+                # when y ends an arc of v (of first)
+                y_ends = all_ends[y]
+                k = d - cc[y] - 1
+                arcs = len(y_ends) >> 1
+                if y not in ends:
+                    ok = k > arcs if y not in f_ends else (
+                        k >= arcs and c + y_ends[first][1] in words)
+                elif y not in f_ends:
+                    ok = k >= arcs and c + y_ends[v][1] in words
+                elif y_ends[v][0] == first:  # the arc closes: only as the whole fan
+                    ok = not k and c + y_ends[v][1] in words
+                else:
+                    ok = k >= arcs - 1 and y_ends[y_ends[v][0]][1] + c + y_ends[first][1] in words
+                if not ok:
+                    continue
             out.append(y)
-            if len(out) == limit:
+            limit -= 1
+            if not limit:
                 break
         return out
 
@@ -536,9 +561,8 @@ class _Search:
 
     # -- mutators (the checks above have passed) --------------------------
     #
-    # _put_edge and _put_corner return their undo data, and _put_shared's is
-    # the face and the vertex; the step that calls them journals one record
-    # holding all of it.
+    # _put_edge and _put_corner return their undo data, and the step that
+    # calls them journals one record holding all of it.
 
     def _put_edge(self, a: int, b: int, fid: int) -> int:
         key = a * self.width + b if a < b else b * self.width + a
@@ -550,19 +574,6 @@ class _Search:
             self.saturated[a].add(b)
             self.saturated[b].add(a)
         return key
-
-    def _put_shared(self, fid: int, y: int) -> None:
-        """Record that face fid now contains y."""
-        vf = self.vfaces[y]
-        pv = self.pair_verts
-        nf = self.nfaces
-        for g in vf:
-            lst = pv[g * nf + fid]
-            if lst is None:
-                pv[g * nf + fid] = [y]
-            else:
-                lst.append(y)
-        vf.append(fid)
 
     def _put_corner(self, v: int, fid: int, a: int, b: int) -> tuple:
         """Add the corner of fid at v between neighbours a and b, joining the
@@ -602,38 +613,57 @@ class _Search:
         self.fsize.append(size)
         self.fpath.append([x])
         if self.pair_prune:
-            self._put_shared(fid, x)
+            # fid is new, so it shares no vertex with any face yet
+            vf, pv, nf = self.vfaces[x], self.pair_verts, self.nfaces
+            for g in vf:
+                pv[g * nf + fid] = [x]
+            vf.append(fid)
         self.journal.append((1, fid, x))
         return self._append_ok(fid, v) and self._append_vertex(fid, v)
 
     def _append_vertex(self, fid: int, y: int) -> bool:
         """Extend face fid by y, a step that passed _append_ok, and journal
-        it as one record; y is fresh when it is the next unused label.  A
-        step that fills the path also closes the face along edge {y, first},
-        and then the deferred face pairs and the size supply are checked on
-        the closed state: only such a step can still fail, and the caller
-        unwinds it on False."""
+        it as one record; y is fresh when it is the next unused label.  The
+        step lays the edge {v, y} and records that fid now contains y, in
+        the edge and face-pair tables.  A step that fills the path also
+        closes the face along edge {y, first}, and then the deferred face
+        pairs and the size supply are checked on the closed state: only
+        such a step can still fail, and the caller unwinds it on False."""
         fresh = y > self.labels_used
         if fresh:
             self.labels_used = y
             self.open.add(y)
         path = self.fpath[fid]
         v = path[-1]
-        key = self._put_edge(v, y, fid)
+        key = v * self.width + y if v < y else y * self.width + v
+        lst = self.edge_faces[key]
+        if lst is None:
+            self.edge_faces[key] = [fid]
+        else:
+            lst.append(fid)
+            self.saturated[v].add(y)
+            self.saturated[y].add(v)
         if self.pair_prune:
-            self._put_shared(fid, y)
+            vf, pv, nf = self.vfaces[y], self.pair_verts, self.nfaces
+            for g in vf:
+                lst = pv[g * nf + fid]
+                if lst is None:
+                    pv[g * nf + fid] = [y]
+                else:
+                    lst.append(y)
+            vf.append(fid)
         corner = self._put_corner(v, fid, path[-2], y) if len(path) > 1 else None
         path.append(y)
         size = self.fsize[fid]
         if len(path) < size:
-            self.journal.append((0, fid, y, fresh, key, corner))
+            self.journal.append((0, fid, y, fresh, (key,), corner))
             return True
         first = path[0]
-        close_key = self._put_edge(y, first, fid)
+        keys = (key, self._put_edge(y, first, fid))
         corner_y = self._put_corner(y, fid, v, first)
         corner_first = self._put_corner(first, fid, y, path[1])
         # journaled before the checks: the caller unwinds a failing close
-        self.journal.append((0, fid, y, fresh, key, corner, close_key, corner_y, corner_first))
+        self.journal.append((0, fid, y, fresh, keys, corner, corner_y, corner_first))
         if not self._recheck_pairs(fid):
             return False
         return self.budget[size] > 0 or self._size_supply_ok(size)
@@ -837,8 +867,8 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     ran out, or ``first_only`` collected a map.
 
     find_slot filters an extension node's candidates: each candidate of the
-    chosen end that fails _append_ok counts one ``constraint`` prune when
-    the node is opened, and the children, the candidates that passed, are
+    chosen end that fails _passing counts one ``constraint`` prune when the
+    node is opened, and the children, the candidates that passed, are
     applied untested.  A closing step still checks the closed face once
     applied, and a new face is applied before it is checked; each step
     rejected there, and unwound, counts one ``constraint`` prune more.
@@ -862,6 +892,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
         # slot, whether it starts a new face, the journal mark before its
         # children, the index of its applied child]
         stack: list[list] = []
+        journal, start_face, append_vertex = st.journal, st._start_face, st._append_vertex
         while True:
             kind, a, b, cands = st.find_slot()  # the node the state stands at
             if kind == "complete":
@@ -882,11 +913,12 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             while stack:
                 entry = stack[-1]
                 children, a, b, start, m, _ = entry
-                st.undo_to(m)
+                if len(journal) > m:  # not on a node just opened
+                    st.undo_to(m)
                 for idx, cand in children:
                     # a new face of size cand at vertex a, next to b; or
                     # face a extended by the label cand
-                    ok = st._start_face(cand, b, a) if start else st._append_vertex(a, cand)
+                    ok = start_face(cand, b, a) if start else append_vertex(a, cand)
                     if ok:
                         break
                     pruned += 1
@@ -966,7 +998,8 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
                       ) -> tuple[dict, list, dict, EnumerationStats]:
     """Decode a checkpoint; each map is rebuilt, passes the check a
     completion passes (_rejection), and has its code recomputed, which
-    scans it.  The first copy of a code is kept.
+    scans it.  The first copy of a code is kept.  No pending path may
+    repeat another or extend it.
 
     When ``expected`` is given, the header must equal it, and this is checked
     before any map is rebuilt."""
@@ -985,6 +1018,13 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
         if expected is not None and header != expected:
             raise CorruptCheckpointError("checkpoint was written for different parameters")
         pending = [tuple(_count(i) for i in path) for path in doc["pending"]]
+        # sorted, a path is followed by its extensions, so an overlap is
+        # between neighbours; queue order is not required
+        ordered = sorted(pending)
+        for a, b in zip(ordered, ordered[1:]):
+            if b[:len(a)] == a:
+                raise CorruptCheckpointError("pending paths overlap: a subtree would be "
+                                             "searched twice")
         collector = {}
         cycle = tuple(header["cycle"])
         for faces in doc["maps"]:

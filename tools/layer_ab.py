@@ -24,6 +24,11 @@ runs put at 1.02.
            [3^1,4^1,8^1,4^1]/24) and the fresh_first first-witness search
            of [4^1,6^1,14^1]/84; each round checks that both sides expand
            the same number of nodes and find the same canonical codes
+  census   the searches of the census benchmark workload: exhaustive runs
+           of the eight chi = -1 rows with n <= 21 and the fresh_first
+           first-witness searches of its four existence rows
+           ([6^2,7^1]/42, [3^1,4^1,7^1,4^1]/42, [4^1,8^1,10^1]/40,
+           [4^1,6^1,14^1]/84), checked like search
   split    checkpointed runs, split into subtree paths but in one process,
            of three chi = -1 rows ([3^5,4^1]/12, [6^2,8^1]/24,
            [3^1,4^1,8^1,4^1]/24): for each, a run to the end, which replays
@@ -118,20 +123,28 @@ class Side:
                 back = sm.loads(sm.dumps(mm))
                 assert back.vertex_count == mm.f0
 
-    def search(self) -> None:
+    def searches(self, rows, witness_rows) -> list:
+        """Exhaustive runs of rows and fresh_first first-witness searches of
+        witness_rows, on chi = -1: each one's nodes and canonical codes."""
         sm = self.sm
         en = sm.enumerator
         found = []
-        for t, n in SEARCH_ROWS:
+        for t, n in rows:
             r = sm.enumerate_maps(t, n, -1)
             found.append((t, r.stats.nodes, sorted(sm.canonical_code(m).data for m in r.maps)))
-        # exists_any without its wrapper, for the node count
-        t, n = WITNESS_ROW
-        collector, stats = {}, en.EnumerationStats()
-        en._drive(en._normalize_type(t), n, -1, sm.EnumOptions(fresh_first=True),
-                  collector, stats, first_only=True)
-        found.append((t, stats.nodes, sorted(collector)))
-        self.found["search"] = found
+        for t, n in witness_rows:
+            # exists_any without its wrapper, for the node count
+            collector, stats = {}, en.EnumerationStats()
+            en._drive(en._normalize_type(t), n, -1, sm.EnumOptions(fresh_first=True),
+                      collector, stats, first_only=True)
+            found.append((t, stats.nodes, sorted(collector)))
+        return found
+
+    def search(self) -> None:
+        self.found["search"] = self.searches(SEARCH_ROWS, (WITNESS_ROW,))
+
+    def census(self) -> None:
+        self.found["census"] = self.searches(CENSUS_ROWS, CENSUS_WITNESS_ROWS)
 
     def split(self) -> None:
         sm = self.sm
@@ -152,6 +165,12 @@ class Side:
 SEARCH_ROWS = (("[3^5,4^1]", 12), ("[3^1,4^1,3^1,4^2]", 12), ("[6^2,8^1]", 24),
                ("[3^1,4^1,8^1,4^1]", 24))
 WITNESS_ROW = ("[4^1,6^1,14^1]", 84)
+# the searches of the census benchmark workload (censusbench/expected.json)
+CENSUS_ROWS = (("[3^1,4^1,3^1,4^2]", 12), ("[3^5,4^1]", 12), ("[3^1,5^3]", 15),
+               ("[4^3,5^1]", 20), ("[3^2,4^1,3^1,5^1]", 20), ("[4^1,10^2]", 20),
+               ("[5^1,8^2]", 20), ("[3^1,7^1,3^1,7^1]", 21))
+CENSUS_WITNESS_ROWS = (("[6^2,7^1]", 42), ("[3^1,4^1,7^1,4^1]", 42), ("[4^1,8^1,10^1]", 40),
+                       ("[4^1,6^1,14^1]", 84))
 SPLIT_ROWS = (("[3^5,4^1]", 12), ("[6^2,8^1]", 24), ("[3^1,4^1,8^1,4^1]", 24))
 
 
@@ -169,7 +188,7 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
     sides = [Side(load(args.checkout_a, "semeq_a")), Side(load(args.checkout_b, "semeq_b"))]
-    loads = ("scan", "analyze", "search", "split")
+    loads = ("scan", "analyze", "search", "census", "split")
     times = {(load_name, i): [] for load_name in loads for i in (0, 1)}
     for side in sides:  # one untimed round warms both sides up
         for load_name in loads:
