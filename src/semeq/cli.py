@@ -50,6 +50,13 @@ def _integer(low: int | None = None):
     return integer
 
 
+def _path(text: str) -> str:
+    """An argparse type: a file path, which may not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _filters(args) -> FilterOptions:
     return FilterOptions(
         min_face_count=1 if args.no_x3_filter else 3,
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         if enum:
             p.add_argument("--threads", type=_integer(1), default=1,
                            help="worker processes")
-            p.add_argument("--checkpoint", default=None,
+            p.add_argument("--checkpoint", type=_path, default=None,
                            help="checkpoint file path (census: PATH.<type>.n<n> per row)")
             p.add_argument("--budget", type=_integer(0), default=None, help="node budget")
             p.add_argument("--long", action="store_true",

@@ -92,10 +92,10 @@ class EnumOptions:
     """Search controls.
 
     threads > 1 splits the tree into independent subtrees, one worker task
-    each; the result set never depends on the split.  A checkpoint path
-    splits it the same way, in-process when threads == 1, and rewrites the
-    checkpoint as subtrees finish, at most once a second, and when the run
-    ends.  Subtrees are merged in queue order, so a split run's maps, counts
+    each; the result set never depends on the split.  A checkpoint path,
+    which may not be empty, splits it the same way, in-process when
+    threads == 1, and rewrites the checkpoint as subtrees finish, at most
+    once a second, and when the run ends.  Subtrees are merged in queue order, so a split run's maps, counts
     and checkpoint bytes do not depend on threads.  node_budget (at least 0)
     bounds expanded nodes (complete=False when hit); a split run divides it
     evenly into per-subtree quotas of at least 1 each, and the nodes spent
@@ -111,9 +111,9 @@ class EnumOptions:
     unsplit run, since subtree paths and checkpoints assume the default
     order: a path's indices name a node's children, the candidates that
     passed.
-    disable_pair_prune turns off the incremental polyhedral-intersection
-    cuts, leaving the final validator to reject those completions (testing
-    aid).
+    disable_pair_prune skips the face-pair test of each step (two faces
+    meet in nothing, one vertex or one edge), leaving the final validator
+    to reject those completions (testing aid).
     """
 
     threads: int = 1
@@ -131,6 +131,9 @@ class EnumOptions:
                                              or self.node_budget < 0):
             raise ValueError(f"node_budget must be a non-negative integer, "
                              f"not {self.node_budget!r}")
+        if self.checkpoint_path == "":
+            # a split run that would neither read nor write its checkpoint
+            raise ValueError("checkpoint_path must not be empty")
         if (self.threads > 1 or self.checkpoint_path is not None) and (
             self.branch_shuffle_seed is not None or self.fresh_first
         ):
@@ -194,11 +197,10 @@ class _Search:
     word spells the arc's face sizes, one character per corner, read from
     the corner at u to the corner at w.  A closed fan has no arcs.
     ``edge_faces[a*W + b]`` (a < b, W = n + 1) lists the faces laid along
-    edge {a, b}, oldest first, or is None; ``pair_verts[g*F + f]`` (g < f,
-    F = face total + 1) lists the vertices faces g and f share, in the
-    order they were added to f, or is None.  Both are flat lists, one slot
-    per vertex or face pair, so a lookup builds no key.  The open face is
-    always the newest, so every pair it forms has it as f.
+    edge {a, b}, oldest first, or is None: a flat list, one slot per vertex
+    pair, so a lookup builds no key.  ``fmask[f]`` has bit y set when y is
+    on face f, so faces g and f share the vertices of fmask[g] & fmask[f],
+    and ``vfaces[y]`` lists the faces on y, in the order y joined them.
     ``saturated[v]`` holds the neighbours u whose edge {v, u} carries two
     faces, kept with the edge table.  ``open`` holds the labels up to
     labels_used whose fan is still open (fewer than d corners): a label
@@ -230,7 +232,8 @@ class _Search:
     keys and the corners at y and at the first vertex appended when the
     step closes the face; (1, fid, x) for a face begun at x, which the
     extension by its second vertex follows; (7, fid) for a reversed path.
-    The face-pair entries of a step are those of fid and its added vertex.
+    A step that adds y to fid sets y's bit of fmask[fid] and appends fid to
+    vfaces[y].
     undo_to unwinds each record in one pass, popping exactly the records
     past the mark.
     """
@@ -253,8 +256,7 @@ class _Search:
         self.width = n + 1
         self.edge_faces: list[Optional[list[int]]] = [None] * (n + 1) ** 2
         self.saturated: list[set[int]] = [set() for _ in range(n + 1)]
-        self.nfaces = sum(budgets.values()) + 1
-        self.pair_verts: list[Optional[list[int]]] = [None] * self.nfaces ** 2
+        self.fmask: list[int] = []
         self.vfaces: list[list[int]] = [[] for _ in range(n + 1)]
         self.budget = dict(budgets)
         self.sizes_sorted = sorted(budgets)
@@ -273,11 +275,11 @@ class _Search:
         """Unwind the journal to mark, one record per applied step.  The
         changes of a step touch distinct table slots (its corners sit at
         distinct vertices), so their order of undoing is free: here the
-        corners and the path, then the edges, then the face-pair entries."""
+        face's vertex entries, then the corners and the path, then the
+        edges."""
         j = self.journal
         fpath, ef, sat, width = self.fpath, self.edge_faces, self.saturated, self.width
-        pv, nf, vfaces = self.pair_verts, self.nfaces, self.vfaces
-        pair_prune, undo_corner = self.pair_prune, self._undo_corner
+        fmask, vfaces, undo_corner = self.fmask, self.vfaces, self._undo_corner
         for _ in range(len(j) - mark):
             op = j.pop()
             tag = op[0]
@@ -285,10 +287,13 @@ class _Search:
                 fpath[op[1]].reverse()
                 continue
             fid, y = op[1], op[2]
+            vfaces[y].pop()
             if tag == 1:  # face fid begun at y, its only vertex
                 self.budget[self.fsize.pop()] += 1
                 fpath.pop()
+                fmask.pop()
             else:  # face fid extended by y; closed too when op has 8 fields
+                fmask[fid] ^= 1 << y
                 if len(op) > 6:
                     undo_corner(op[7])
                     undo_corner(op[6])
@@ -307,14 +312,6 @@ class _Search:
                 if op[3]:  # y was the fresh label
                     self.labels_used -= 1
                     self.open.remove(y)
-            if pair_prune:
-                vf = vfaces[y]
-                vf.pop()
-                for g in vf:
-                    lst = pv[g * nf + fid]
-                    lst.pop()
-                    if not lst:
-                        pv[g * nf + fid] = None
 
     def _undo_corner(self, rec: tuple) -> None:
         """Remove a corner, restoring the arc-end entries it replaced."""
@@ -334,36 +331,6 @@ class _Search:
             ends[arc_b[0]] = far_b
 
     # -- checks: pure functions of the state and one prospective change -----
-
-    def _pair_feasible(self, f: int, g: int, u: int, w: int, f_fits: bool = False) -> bool:
-        """Two faces sharing the vertices u and w must share exactly the edge
-        {u, w}: no third face may sit on it, and each face must carry it.  g
-        is a closed face (only the face being built is open), so it carries
-        the edge or never will; f carries it, or is the open face still able
-        to close on it, when f_fits says so, and otherwise the tables tell."""
-        k = self.width
-        efs = self.edge_faces[u * k + w if u < w else w * k + u] or ()
-        for h in efs:
-            if h != f and h != g:
-                return False
-        return (f_fits or f in efs) and g in efs
-
-    def _recheck_pairs(self, fid: int) -> bool:
-        """After fid closes, pairs that were deferred while it could still
-        close on the shared edge must be re-validated."""
-        if not self.pair_prune:
-            return True
-        pv = self.pair_verts
-        nf = self.nfaces
-        for y in self.fpath[fid]:
-            for g in self.vfaces[y]:
-                if g == fid:
-                    continue
-                lst = pv[g * nf + fid]
-                if lst is not None and len(lst) == 2 and lst[-1] == y:
-                    if not self._pair_feasible(fid, g, lst[0], lst[1]):
-                        return False
-        return True
 
     def _validate_vertex(self, v: int, a: int, b: int, c: str) -> bool:
         """Whether the fan of v stays valid when a corner between
@@ -437,9 +404,10 @@ class _Search:
         """The labels of raw, in branching order, whose extension of the
         open face fid passes the checks of the step that the current state
         decides, stopping once limit of them pass.  Mutates nothing; the
-        checks that need the closed face run in _append_vertex once the
-        step is applied.  Branching order is ascending, with the fresh
-        label (the largest) first under fresh_first.
+        size supply, which needs the closed face, is checked in
+        _append_vertex once a closing step is applied.  Branching order is
+        ascending, with the fresh label (the largest) first under
+        fresh_first.
 
         One loop tests each label inline, with no call per label: the fan
         at v (the path's last vertex) with its new corner, the face pairs
@@ -453,11 +421,15 @@ class _Search:
         none).  The fan at y is _validate_vertex(y, v, first, c) written
         out.  A begun face gives v the new edge but no corner: where an arc
         of v ends at y, the face is forced next to it, so c must extend the
-        arc's word, and the half corner at y is the same test from y.  The
-        pair test is _pair_feasible's: a closed face g that shares a vertex
-        u with fid may share y only along the edge {u, y}, carrying g
-        alone, which fid lays now (u is v) or may close on (u is first,
-        rechecked once the face closes).
+        arc's word, and the half corner at y is the same test from y.
+
+        The pair test decides each pair of faces when it forms: a closed
+        face g that already shares one vertex u with fid may share y only
+        along the edge {u, y}, which must carry g alone, and fid must lay
+        that edge now: u is v, or first on a closing step.  After a step
+        that does not fill the path, first and y are its ends; every later
+        step makes one of them interior, and the closing edge joins the
+        final ends, so {first, y} never becomes an edge of fid.
 
         Candidates exclude the saturated neighbours of the end (of both
         ends for a closing step), so the edge {v, y} holds at most one face
@@ -491,7 +463,9 @@ class _Search:
             f_off, f_room, f_head, f_closer, f_close_ok = self._fan_facts(first, path[1], c)
             f_ends, cc, d = self.ends[first], self.corner_count, self.d
         words, all_ends, pair_prune, vfaces = self.words, self.ends, self.pair_prune, self.vfaces
-        pv, nf, ef, width = self.pair_verts, self.nfaces, self.edge_faces, self.width
+        fmask, ef, width = self.fmask, self.edge_faces, self.width
+        # the vertices fid may share with a face it meets at y
+        fm, vbit, fbit = fmask[fid], 1 << v, 1 << first if closing else 0
         out = []
         for y in cands:
             # the fan test comes first: it rejects the most candidates
@@ -503,13 +477,12 @@ class _Search:
             if pair_prune:
                 ok = True
                 for g in vfaces[y]:
-                    lst = pv[g * nf + fid]
-                    if lst is not None:
-                        # a list holds distinct vertices, an edge distinct faces
-                        u = lst[0]
-                        efs = ef[u * width + y if u < y else y * width + u]
-                        if (lst[-1] != u or efs is None or efs[0] != g or efs[-1] != g
-                                or u != v and u != first):
+                    shared = fmask[g] & fm
+                    if shared:
+                        u = v if shared == vbit else first if shared == fbit else 0
+                        # an edge lists distinct faces
+                        efs = u and ef[u * width + y if u < y else y * width + u]
+                        if not efs or efs[0] != g or efs[-1] != g:
                             ok = False
                             break
                 if not ok:
@@ -612,12 +585,8 @@ class _Search:
         self.budget[size] -= 1
         self.fsize.append(size)
         self.fpath.append([x])
-        if self.pair_prune:
-            # fid is new, so it shares no vertex with any face yet
-            vf, pv, nf = self.vfaces[x], self.pair_verts, self.nfaces
-            for g in vf:
-                pv[g * nf + fid] = [x]
-            vf.append(fid)
+        self.fmask.append(1 << x)
+        self.vfaces[x].append(fid)
         self.journal.append((1, fid, x))
         return self._append_ok(fid, v) and self._append_vertex(fid, v)
 
@@ -625,10 +594,10 @@ class _Search:
         """Extend face fid by y, a step that passed _append_ok, and journal
         it as one record; y is fresh when it is the next unused label.  The
         step lays the edge {v, y} and records that fid now contains y, in
-        the edge and face-pair tables.  A step that fills the path also
-        closes the face along edge {y, first}, and then the deferred face
-        pairs and the size supply are checked on the closed state: only
-        such a step can still fail, and the caller unwinds it on False."""
+        fmask and vfaces.  A step that fills the path also closes the face
+        along edge {y, first}, and then the size supply is checked on the
+        closed state: only such a step can still fail, and the caller
+        unwinds it on False."""
         fresh = y > self.labels_used
         if fresh:
             self.labels_used = y
@@ -643,15 +612,8 @@ class _Search:
             lst.append(fid)
             self.saturated[v].add(y)
             self.saturated[y].add(v)
-        if self.pair_prune:
-            vf, pv, nf = self.vfaces[y], self.pair_verts, self.nfaces
-            for g in vf:
-                lst = pv[g * nf + fid]
-                if lst is None:
-                    pv[g * nf + fid] = [y]
-                else:
-                    lst.append(y)
-            vf.append(fid)
+        self.fmask[fid] |= 1 << y
+        self.vfaces[y].append(fid)
         corner = self._put_corner(v, fid, path[-2], y) if len(path) > 1 else None
         path.append(y)
         size = self.fsize[fid]
@@ -662,10 +624,8 @@ class _Search:
         keys = (key, self._put_edge(y, first, fid))
         corner_y = self._put_corner(y, fid, v, first)
         corner_first = self._put_corner(first, fid, y, path[1])
-        # journaled before the checks: the caller unwinds a failing close
+        # journaled before the check: the caller unwinds a failing close
         self.journal.append((0, fid, y, fresh, keys, corner, corner_y, corner_first))
-        if not self._recheck_pairs(fid):
-            return False
         return self.budget[size] > 0 or self._size_supply_ok(size)
 
     # -- seeding -----------------------------------------------------------
@@ -869,7 +829,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     find_slot filters an extension node's candidates: each candidate of the
     chosen end that fails _passing counts one ``constraint`` prune when the
     node is opened, and the children, the candidates that passed, are
-    applied untested.  A closing step still checks the closed face once
+    applied untested.  A closing step still checks the size supply once
     applied, and a new face is applied before it is checked; each step
     rejected there, and unwound, counts one ``constraint`` prune more.
 

@@ -303,21 +303,33 @@ def test_interrupted_checkpoint_resume(tmp_path, census_35_4):
 # The search tree is part of the contract: a faster kernel must visit the
 # same nodes, prune the same candidates and address subtrees the same way.
 # The counts are those of fail-first branching (each extension node takes the
-# face end with fewer passing children); censusbench/baseline.json still
-# holds the counts from before it.
+# face end with fewer passing children) with each face pair decided when it
+# forms; censusbench/baseline.json still holds the counts from before both.
 @pytest.mark.parametrize("tstr,nodes,completions,prunes", [
-    ("[3^1,4^1,3^1,4^2]", 7144, 4, {"constraint": 21741}),
-    ("[3^5,4^1]", 8748, 32, {"constraint": 21950}),
+    ("[3^1,4^1,3^1,4^2]", 6919, 4, {"constraint": 20729}),
+    ("[3^5,4^1]", 8465, 32, {"constraint": 20737}),
 ], ids=["[3^1,4^1,3^1,4^2]", "[3^5,4^1]"])
 def test_search_tree_pinned(tstr, nodes, completions, prunes):
     stats = enumerate_maps(tstr, 12, -1).stats
     assert (stats.nodes, stats.completions, stats.prunes) == (nodes, completions, prunes)
 
 
+# without the pair prune the tree depends on the other checks alone, and the
+# final validator rejects the completions that the pair test would cut
+@pytest.mark.parametrize("tstr,nodes,completions,prunes,nonpolyhedral", [
+    ("[3^1,4^1,3^1,4^2]", 32012, 12, {"constraint": 90291}, 8),
+    ("[3^5,4^1]", 16097, 40, {"constraint": 36762}, 8),
+], ids=["[3^1,4^1,3^1,4^2]", "[3^5,4^1]"])
+def test_no_pair_prune_tree_pinned(tstr, nodes, completions, prunes, nonpolyhedral):
+    stats = enumerate_maps(tstr, 12, -1, EnumOptions(disable_pair_prune=True)).stats
+    assert (stats.nodes, stats.completions, stats.prunes, stats.rejected_nonpolyhedral) == (
+        nodes, completions, prunes, nonpolyhedral)
+
+
 # the same contract outside chi = -1, on the two largest sphere rows
 @pytest.mark.parametrize("tstr,n,nodes", [
-    ("[4^1,6^1,10^1]", 120, 58498),
-    ("[3^4,5^1]", 60, 25377),
+    ("[4^1,6^1,10^1]", 120, 58480),
+    ("[3^4,5^1]", 60, 25094),
 ], ids=["[4^1,6^1,10^1]", "[3^4,5^1]"])
 def test_sphere_search_tree_pinned(tstr, n, nodes):
     assert enumerate_maps(tstr, n, 2).stats.nodes == nodes
@@ -331,10 +343,10 @@ def test_checkpoint_subtree_paths_pinned(tmp_path):
     assert not r.complete
     with open(path, "rb") as fh:
         _, pending, _, _ = _checkpoint_parse(fh.read())
-    assert len(pending) == 121
+    assert len(pending) == 111
     assert pending[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
     digest = hashlib.sha256(json.dumps([list(p) for p in pending]).encode()).hexdigest()
-    assert digest == "292fde9851447d0aec850dfab47c5625093e4f087d91b412b694b8e390466df7"
+    assert digest == "f27e06f45f6ce596cb3909f8876f59b0b032aa2579d69817a297c940e5cd852c"
 
 
 def _resume_with_first_path(tmp_path, tampered):
@@ -357,14 +369,15 @@ def _resume_with_first_path(tmp_path, tampered):
 
 
 def test_tampered_path_with_rejected_step_refused(tmp_path):
-    # the first pending path is replaced by a longer one whose last index
-    # names a child whose step is rejected once applied: the resume must
-    # refuse the checkpoint rather than count the subtree as searched
-    for which, tail, step in [(3, (0, 0, 0, 0, 0, 0), "new-face"),  # fails once laid
-                              (5, (0, 0, 0), "closing-step")]:  # fails on the closed face
+    # a pending path is replaced by one whose last index names a child whose
+    # step is rejected once applied: the resume must refuse the checkpoint
+    # rather than count the subtree as searched
+    for step in ("start", "closing"):  # a new face, or a size supply spent
+        rejected = _first_path("[3^5,4^1]", 12, step)
+        assert rejected is not None
         (tmp_path / step).mkdir()
         with pytest.raises(CorruptCheckpointError, match="rejected at replay"):
-            _resume_with_first_path(tmp_path / step, lambda pending: pending[which] + tail)
+            _resume_with_first_path(tmp_path / step, lambda pending: rejected)
 
 
 def test_tampered_path_past_children_refused(tmp_path):
@@ -389,20 +402,24 @@ def test_overlapping_pending_paths_refused(tmp_path):
             enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
 
 
-def _first_leaf_path(tstr, n):
+def _first_path(tstr, n, target):
     """The child indices, as find_slot lists them, from the root of the
-    search to the first node it completes in depth-first order."""
+    search to the first node it completes in depth-first order (target
+    "leaf"), or to the first child whose step is rejected once applied: a
+    new face ("start") or a step that closes the open face ("closing")."""
     spec = parse_type(tstr)
     st = _fresh_search(spec.cycle, n, face_counts(spec, n), True)
 
     def dfs():
         kind, a, b, cands = st.find_slot()
         if kind == "complete":
-            return ()
+            return () if target == "leaf" else None
+        step = kind if kind == "start" else (
+            "closing" if len(st.fpath[a]) + 1 == st.fsize[a] else "extend")
         for idx, cand in enumerate(cands):
             mark = st.mark()
             ok = st._start_face(cand, b, a) if kind == "start" else st._append_vertex(a, cand)
-            rest = dfs() if ok else None
+            rest = dfs() if ok else (() if step == target else None)
             st.undo_to(mark)
             if rest is not None:
                 return (idx,) + rest
@@ -415,7 +432,7 @@ def test_tampered_path_past_a_leaf_refused(tmp_path):
     # a completed node has no children, so a path that runs one index past
     # it names no subtree; resuming it would collect the leaf and report the
     # pending subtree it replaced as searched
-    leaf = _first_leaf_path("[3^5,4^1]", 12)
+    leaf = _first_path("[3^5,4^1]", 12, "leaf")
     assert leaf is not None
     with pytest.raises(CorruptCheckpointError, match="does not exist"):
         _resume_with_first_path(tmp_path, lambda pending: leaf + (0,))
@@ -439,7 +456,7 @@ def test_cut_witness_run_pinned():
     assert r.stats.to_dict() == {
         "nodes": 2001, "completions": 0, "rejected_nonpolyhedral": 0,
         "rejected_wrong_type": 0, "rejected_wrong_size": 0,
-        "prunes": {"budget": 1, "constraint": 65258},
+        "prunes": {"budget": 1, "constraint": 65149},
     }
 
 
@@ -457,8 +474,8 @@ def test_resumed_run_counts_each_node_once(tmp_path, threads):
                              EnumOptions(checkpoint_path=path, threads=threads))
     assert resumed.complete
     assert resumed.stats.to_dict() == enumerate_maps("[3^5,4^1]", 12, -1).stats.to_dict()
-    assert resumed.stats.nodes == 8748
-    assert resumed.stats.prunes == {"constraint": 21950}
+    assert resumed.stats.nodes == 8465
+    assert resumed.stats.prunes == {"constraint": 20737}
 
 
 def test_empty_frontier_still_checkpointed(tmp_path):
@@ -537,6 +554,13 @@ def test_fresh_first_honoured_in_unsplit_runs(census_35_4):
 def test_branch_order_rejected_in_split_runs(order, split):
     with pytest.raises(ValueError, match="subtree replay"):
         EnumOptions(**order, **split)
+
+
+def test_empty_checkpoint_path_rejected():
+    # an empty path split the run like a checkpoint, but _drive never read or
+    # wrote the file, so a cut session could not be resumed
+    with pytest.raises(ValueError, match="checkpoint_path"):
+        EnumOptions(checkpoint_path="")
 
 
 class _RecordingTable(dict):
@@ -642,14 +666,14 @@ def test_resumed_run_scans_each_class_once(tmp_path, scans, census_35_4):
 
 
 def test_checkpoint_maps_join_class_table(tmp_path, scans, census_35_4):
-    # the cut run saves all 3 classes with 67 paths still pending: the load
+    # the cut run saves all 3 classes with 18 paths still pending: the load
     # scans each saved map once, and the classes enter the class table, so
     # their later completions and the analysis scan nothing more
     path = str(tmp_path / "ck.json")
     enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=20000))
     with open(path, "rb") as fh:
         _, pending, saved, _ = _checkpoint_parse(fh.read())
-    assert (len(saved), len(pending)) == (3, 67)
+    assert (len(saved), len(pending)) == (3, 18)
     scans.clear()
     r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
     for m in r.maps:

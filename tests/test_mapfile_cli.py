@@ -258,6 +258,21 @@ def test_cli_negative_budget_rejected(command):
     assert "--budget" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--type", "[3^5,4^1]", "--n", "12", "--chi", "-1"],
+    ["census", "--chi", "-1"],
+])
+def test_cli_empty_checkpoint_refused(command, tmp_path, monkeypatch, capsys):
+    # an empty path split the run like a checkpoint without reading or
+    # writing one, and census wrote its per-row files as .<type>.n<n>
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--checkpoint", "", "--budget", "100"])
+    assert exc.value.code == 2
+    assert "argument --checkpoint: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # each integer option after a command that parses without it
 INTEGER_OPTIONS = {
     "--chi": ["classify", "--chi", "-1"],

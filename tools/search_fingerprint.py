@@ -2,11 +2,11 @@
 
 A change that must leave the search tree alone (a faster kernel, a faster
 canonical scan) should leave every line of this output as it is.  A change
-that reshapes the tree but not its results (another branching rule) moves
-rows, checkpoint, resume, scans and witness, and leaves classify, maps and
-census as they are.  A change to which labelled copy of each class a search
-returns moves only rows and scans, the two lines that hash the returned
-copies as they are labelled:
+that reshapes the tree but not its results (another branching rule, or a
+stronger prune that keeps every map) moves rows, scans, checkpoint, resume
+and witness, and leaves classify, maps and census as they are.  A change
+to which labelled copy of each class a search returns moves only rows and
+scans, the two lines that hash the returned copies as they are labelled:
 
   classify    the (n, cycle, face_counts, filters_passed) rows of
               admissible_types for chi = -1 ... -4 under the default options,
