@@ -72,7 +72,6 @@ def census(
     filters: FilterOptions | None = None,
     enum_opts: EnumOptions | None = None,
     include_long: bool = False,
-    analyze: bool = True,
 ) -> list[CensusRow]:
     filters = filters or FilterOptions()
     enum_opts = enum_opts or EnumOptions()
@@ -94,7 +93,7 @@ def census(
             status = f"exists({len(result.maps)})"
         else:
             status = "empty"
-        analyses = tuple(analyze_map(m) for m in result.maps) if analyze else ()
+        analyses = tuple(analyze_map(m) for m in result.maps)
         rows.append(CensusRow(pair, status, result.maps, analyses, result.complete))
     return rows
 

@@ -11,7 +11,8 @@ Subcommands:
   rectify    edge-midpoint a map file
   census     classify + enumerate + analyze for a whole surface
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure or a file that cannot be read
+or written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .mapcore import (
     surface_signature,
     validate_polyhedral,
 )
-from .mapfile import MapFileError, dumps as dump_map, read_map_file
+from .mapfile import dumps as dump_map, read_map_file
 from .symmetry import _group_summary, gi_graph, isomorphic
 from .typecalc import FilterOptions, admissible_types, parse_type
-from .transforms import NotPolyhedralError, rectify as rectify_map, truncate as truncate_map
+from .transforms import rectify as rectify_map, truncate as truncate_map
 
 
 def _integer(low: int | None = None):
@@ -76,7 +77,7 @@ def _enum_opts(args) -> EnumOptions:
 def _load_map(path):
     try:
         return build_from_faces(read_map_file(path))
-    except (MapFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -208,12 +209,7 @@ def _cmd_gi(args) -> int:
 
 
 def _cmd_transform(args, op) -> int:
-    m = _load_map(args.mapfile)
-    try:
-        out = op(m)
-    except NotPolyhedralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out = op(_load_map(args.mapfile))
     t = semi_equivelar_type(out)
     print(f"# result: vertices={out.f0} type={t if t else 'none'} chi={euler_characteristic(out)}")
     sys.stdout.write(dump_map(out))
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--n", type=_integer(), required=True)
     p.add_argument("--chi", type=_integer(), required=True)
-    p.add_argument("--emit", default=None, help="write maps to EMIT-<i>.map")
+    p.add_argument("--emit", type=_path, default=None, help="write maps to EMIT-<i>.map")
     common(p, enum=True)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -297,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gi", help="same-link-intersection graph")
     p.add_argument("mapfile")
-    p.add_argument("--i", type=_integer(), required=True)
+    p.add_argument("--i", type=_integer(0), required=True)
     common(p)
     p.set_defaults(func=_cmd_gi)
 
@@ -323,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, MapFileError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

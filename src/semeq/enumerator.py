@@ -141,6 +141,11 @@ class EnumOptions:
                              "with subtree replay (threads > 1 or a checkpoint)")
 
 
+# the integer counters of EnumerationStats, in the order to_dict writes them
+_COUNTS = ("nodes", "completions", "rejected_nonpolyhedral", "rejected_wrong_type",
+           "rejected_wrong_size")
+
+
 @dataclass
 class EnumerationStats:
     nodes: int = 0
@@ -151,27 +156,15 @@ class EnumerationStats:
     rejected_wrong_size: int = 0
     wall_seconds: float = 0.0
 
-    def bump(self, reason: str) -> None:
-        self.prunes[reason] = self.prunes.get(reason, 0) + 1
-
     def merge(self, other: "EnumerationStats") -> None:
-        self.nodes += other.nodes
-        self.completions += other.completions
-        self.rejected_nonpolyhedral += other.rejected_nonpolyhedral
-        self.rejected_wrong_type += other.rejected_wrong_type
-        self.rejected_wrong_size += other.rejected_wrong_size
+        for k in _COUNTS:
+            setattr(self, k, getattr(self, k) + getattr(other, k))
         for k, v in other.prunes.items():
             self.prunes[k] = self.prunes.get(k, 0) + v
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "completions": self.completions,
-            "rejected_nonpolyhedral": self.rejected_nonpolyhedral,
-            "rejected_wrong_type": self.rejected_wrong_type,
-            "rejected_wrong_size": self.rejected_wrong_size,
-            "prunes": dict(sorted(self.prunes.items())),
-        }
+        return {**{k: getattr(self, k) for k in _COUNTS},
+                "prunes": dict(sorted(self.prunes.items()))}
 
 
 @dataclass(frozen=True)
@@ -214,9 +207,9 @@ class _Search:
     Some facts are read, not stored.  A face is closed exactly when its
     path holds fsize vertices, since _append_vertex closes it in the step
     that fills the path, and only the last face can be open.  A fan is
-    closed exactly when it has d corners, since _validate_vertex refuses a
-    d-th corner that does not close the cycle.  The multiplicity of a size
-    in the type is counted in ``cycle`` when a size runs out.
+    closed exactly when it has d corners, since the fan test (_fan_facts)
+    refuses a d-th corner that does not close the cycle.  The multiplicity
+    of a size in the type is counted in ``cycle`` when a size runs out.
 
     find_slot gives the next node as ("extend", fid, rejected, children),
     ("start", v, x, sizes) or ("complete", None, None, ()).  The children of
@@ -332,54 +325,13 @@ class _Search:
 
     # -- checks: pure functions of the state and one prospective change -----
 
-    def _validate_vertex(self, v: int, a: int, b: int, c: str) -> bool:
-        """Whether the fan of v stays valid when a corner between
-        neighbours a and b, of a face with size character c, joins it.  A
-        pure test: the corner is not added, so a candidate can be rejected
-        before anything is applied.  The written rule: _passing applies it
-        through _fan_facts and, at y on a closing step, written out inline.
-
-        The fan is read from the arc-end table ``ends[v]``.  The corner joins
-        at most two arcs, the ones ending at a and at b, so the test is two
-        lookups plus one lookup of the joined size word in ``words``; the
-        word has at most d sizes.  A d-th corner is accepted only when it
-        closes the fan, so a fan is closed exactly when it has d corners.
-        Closing an arc into a cycle is legal only as the whole fan;
-        otherwise every arc must embed in the type cycle, and joining k arcs
-        into the fan takes at least k more corners.  A fan one corner short
-        needs no further test: a word of d - 1 sizes that embeds is
-        completed by the missing size.
-        """
-        count = self.corner_count[v] + 1
-        d = self.d
-        if count > d:
-            return False
-        ends = self.ends[v]
-        arc_a = ends.get(a)
-        arc_b = ends.get(b)
-        arcs = len(ends) >> 1
-        if arc_a is None:
-            if arc_b is None:
-                arcs += 1
-                word = c
-            else:
-                word = c + arc_b[1]
-        elif arc_b is None:
-            word = c + arc_a[1]
-        elif arc_a[0] == b:
-            # the arc closes into a cycle: legal only as the whole fan (a
-            # valid fan one corner short is a single arc)
-            return count == d and c + arc_a[1] in self.words
-        else:
-            arcs -= 1
-            word = ends[arc_a[0]][1] + c + arc_b[1]
-        if count == d or d - count < arcs:
-            return False
-        return word in self.words
-
     def _fan_facts(self, v: int, a: int, c: str) -> tuple:
-        """_validate_vertex(v, a, y, c) for every label y at once, as (off,
-        room, head, closer, close_ok).  A y that ends no arc of v gets off;
+        """The fan test at v for a corner between neighbours a and y of a face
+        with size character c, for every label y at once, as (off, room,
+        head, closer, close_ok).  The rule: a d-th corner must close the fan,
+        an arc closes into a cycle only as the whole fan, every arc must
+        embed in the type cycle (its word is in words), and joining k arcs
+        takes at least k more corners.  A y that ends no arc of v gets off;
         the other end of the arc at a, closer (0 when a ends none), gets
         close_ok; a y that ends any other arc passes when room holds and
         head plus the word of y's arc is in words.  k counts the corners
@@ -394,11 +346,6 @@ class _Search:
         words = self.words
         return (k >= arcs and c + arc[1] in words, k >= arcs - 1, ends[arc[0]][1] + c,
                 arc[0], not k and c + arc[1] in words)
-
-    def _append_ok(self, fid: int, y: int) -> bool:
-        """Whether extending the open face fid by y passes the checks of
-        the step that the current state decides (see _passing)."""
-        return bool(self._passing(fid, {y}, 1))
 
     def _passing(self, fid: int, raw: set, limit: int) -> list:
         """The labels of raw, in branching order, whose extension of the
@@ -418,10 +365,11 @@ class _Search:
         shared verdict, and one that ends an arc takes one word lookup.
         When the verdict at v is False the fan is forced, and only the
         labels of raw that end an arc of v are tried (the fresh label ends
-        none).  The fan at y is _validate_vertex(y, v, first, c) written
-        out.  A begun face gives v the new edge but no corner: where an arc
-        of v ends at y, the face is forced next to it, so c must extend the
-        arc's word, and the half corner at y is the same test from y.
+        none).  The fan at y, whose corner joins the arcs ending at v and
+        at first, is the same rule written out.  A begun face gives v the
+        new edge but no corner: where an arc of v ends at y, the face is
+        forced next to it, so c must extend the arc's word, and the half
+        corner at y is the same test from y.
 
         The pair test decides each pair of faces when it forms: a closed
         face g that already shares one vertex u with fid may share y only
@@ -588,10 +536,10 @@ class _Search:
         self.fmask.append(1 << x)
         self.vfaces[x].append(fid)
         self.journal.append((1, fid, x))
-        return self._append_ok(fid, v) and self._append_vertex(fid, v)
+        return bool(self._passing(fid, {v}, 1)) and self._append_vertex(fid, v)
 
     def _append_vertex(self, fid: int, y: int) -> bool:
-        """Extend face fid by y, a step that passed _append_ok, and journal
+        """Extend face fid by y, a step that passed _passing, and journal
         it as one record; y is fresh when it is the next unused label.  The
         step lays the edge {v, y} and records that fid now contains y, in
         fmask and vfaces.  A step that fills the path also closes the face
@@ -648,7 +596,7 @@ class _Search:
             fid = len(self.fsize) - 1
             for j in range(1, size - 1):
                 y = ring[(off + j) % m]
-                ok = ok and self._append_ok(fid, y) and self._append_vertex(fid, y)
+                ok = ok and bool(self._passing(fid, {y}, 1)) and self._append_vertex(fid, y)
             if not ok:
                 raise RuntimeError(f"root star step of a {size}-gon rejected for type "
                                    f"{self.cycle} with n={self.n}")
@@ -888,7 +836,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                     continue
                 nodes += 1
                 if node_quota is not None and nodes > node_quota:
-                    stats.bump("budget")
+                    stats.prunes["budget"] = stats.prunes.get("budget", 0) + 1
                     return False
                 entry[5] = idx
                 break
@@ -995,14 +943,8 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
                                              f"type {cycle} ({why})")
             collector.setdefault(canonical_code(m).data, m)
         st = doc["stats"]
-        stats = EnumerationStats(
-            nodes=_count(st["nodes"]),
-            prunes={k: _count(v) for k, v in st["prunes"].items()},
-            completions=_count(st["completions"]),
-            rejected_nonpolyhedral=_count(st["rejected_nonpolyhedral"]),
-            rejected_wrong_type=_count(st["rejected_wrong_type"]),
-            rejected_wrong_size=_count(st["rejected_wrong_size"]),
-        )
+        stats = EnumerationStats(prunes={k: _count(v) for k, v in st["prunes"].items()},
+                                 **{k: _count(st[k]) for k in _COUNTS})
     except CorruptCheckpointError:
         raise
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:

@@ -35,6 +35,13 @@ def _require_polyhedral(m: CombMap) -> None:
         )
 
 
+def _with_vertex_faces(m: CombMap, faces: list, node, vertex_count: int) -> CombMap:
+    """The map of faces plus each original vertex's rotation d-gon of nodes."""
+    for v in range(1, m.f0 + 1):
+        faces.append(tuple(node(v, w) for w in m.vertex_fan_junctions(v)))
+    return build_from_faces(FaceListMap(vertex_count=vertex_count, faces=tuple(faces)))
+
+
 def truncate(m: CombMap) -> CombMap:
     """The truncation: one vertex per directed edge of the input.
 
@@ -61,10 +68,8 @@ def truncate(m: CombMap) -> CombMap:
             cyc.append(node(f[i], prev_v))
             cyc.append(node(f[i], next_v))
         faces.append(tuple(cyc))
-    for v in range(1, m.f0 + 1):
-        nbrs = m.vertex_fan_junctions(v)
-        faces.append(tuple(node(v, w) for w in nbrs))
-    return build_from_faces(FaceListMap(vertex_count=len(node_of), faces=tuple(faces)))
+    # every directed edge lies on a face, so the nodes are all numbered
+    return _with_vertex_faces(m, faces, node, len(node_of))
 
 
 def rectify(m: CombMap) -> CombMap:
@@ -83,7 +88,4 @@ def rectify(m: CombMap) -> CombMap:
     for f in m.faces:
         k = len(f)
         faces.append(tuple(node(f[i], f[(i + 1) % k]) for i in range(k)))
-    for v in range(1, m.f0 + 1):
-        nbrs = m.vertex_fan_junctions(v)
-        faces.append(tuple(node(v, w) for w in nbrs))
-    return build_from_faces(FaceListMap(vertex_count=len(m.edges), faces=tuple(faces)))
+    return _with_vertex_faces(m, faces, node, len(m.edges))

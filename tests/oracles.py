@@ -113,3 +113,48 @@ def gi_summary_pairwise(m) -> dict:
         degs = GiGraph(i, m.f0, tuple(buckets[i])).degree_multiset()
         out[str(i)] = {"edges": len(buckets[i]), "degree_multiset_constant": len(set(degs)) == 1}
     return out
+
+
+def validate_vertex(st, v: int, a: int, b: int, c: str) -> bool:
+    """The written fan rule the search kernel applies inline: whether the
+    fan of v in the search state st stays valid when a corner between
+    neighbours a and b, of a face with size character c, joins it.  The
+    corner is not added.
+
+    The fan is read from the arc-end table ``st.ends[v]``.  The corner joins
+    at most two arcs, the ones ending at a and at b, so the test is two
+    lookups plus one lookup of the joined size word in ``st.words``; the
+    word has at most d sizes.  A d-th corner is accepted only when it
+    closes the fan, so a fan is closed exactly when it has d corners.
+    Closing an arc into a cycle is legal only as the whole fan; otherwise
+    every arc must embed in the type cycle, and joining k arcs into the fan
+    takes at least k more corners.  A fan one corner short needs no further
+    test: a word of d - 1 sizes that embeds is completed by the missing
+    size.
+    """
+    count = st.corner_count[v] + 1
+    d = st.d
+    if count > d:
+        return False
+    ends = st.ends[v]
+    arc_a = ends.get(a)
+    arc_b = ends.get(b)
+    arcs = len(ends) >> 1
+    if arc_a is None:
+        if arc_b is None:
+            arcs += 1
+            word = c
+        else:
+            word = c + arc_b[1]
+    elif arc_b is None:
+        word = c + arc_a[1]
+    elif arc_a[0] == b:
+        # the arc closes into a cycle: legal only as the whole fan (a valid
+        # fan one corner short is a single arc)
+        return count == d and c + arc_a[1] in st.words
+    else:
+        arcs -= 1
+        word = ends[arc_a[0]][1] + c + arc_b[1]
+    if count == d or d - count < arcs:
+        return False
+    return word in st.words

@@ -56,7 +56,7 @@ def test_fixture_round_trip_and_digests():
 def test_census_rows_structure():
     # a cheap census pass: budget-capped so even the deep rows return quickly;
     # statuses must then be one of the documented values
-    rows = census(-1, enum_opts=EnumOptions(node_budget=20000), analyze=False)
+    rows = census(-1, enum_opts=EnumOptions(node_budget=20000))
     assert len(rows) == 18
     for row in rows:
         assert row.status in {"empty", "not-run(long)", "not-run(budget)"} or row.status.startswith("exists(")
@@ -65,7 +65,7 @@ def test_census_rows_structure():
 
 
 def test_census_report_json_stable():
-    rows = census(-1, enum_opts=EnumOptions(node_budget=5000), analyze=False)
+    rows = census(-1, enum_opts=EnumOptions(node_budget=5000))
     a = census_report_json(-1, rows)
     b = census_report_json(-1, rows)
     assert a == b

@@ -1,6 +1,6 @@
 """Early rejection in the search kernel is exact.
 
-The search tests each extension candidate with ``_Search._append_ok`` before
+The search tests each extension candidate with ``_Search._passing`` before
 it applies anything, using the arc-end tables of the vertex fans, and an
 extension node keeps only the candidates that pass, from the end of the
 open face that has fewer of them.  These tests walk whole search trees and
@@ -29,6 +29,7 @@ not against the kernel's tables.
 
 import pytest
 
+from oracles import validate_vertex
 from semeq.enumerator import EnumOptions, _fresh_search, enumerate_maps
 from semeq.typecalc import face_counts, parse_type
 
@@ -321,23 +322,23 @@ def _candidates(st, fid, edges):
 
 
 def _passing(st, edges, fid, cands, raw, at_head):
-    """The candidates of one end of the open face that pass _append_ok, in
-    the order of the oracle's list cands, each verdict held against the
-    oracle; then the kernel's _passing on the raw set must give the same
-    list.  The head is read by reversing the path for the duration, as
-    find_slot does."""
+    """The candidates of one end of the open face that pass the kernel's
+    _passing, each tested on its own, in the order of the oracle's list
+    cands, each verdict held against the oracle; then the kernel's _passing
+    on the raw set must give the same list.  The head is read by reversing
+    the path for the duration, as find_slot does."""
     path = st.fpath[fid]
     if at_head:
         path.reverse()
     v, c = path[-1], st.size_char[st.fsize[fid]]
-    off_arc = st._validate_vertex(v, path[-2], 0, c)
+    off_arc = validate_vertex(st, v, path[-2], 0, c)
     out = []
     for y in cands:
-        ok = st._append_ok(fid, y)
+        ok = bool(st._passing(fid, {y}, 1))
         assert ok == _step_ok(st, edges, fid, y), (fid, y, st.fpath)
         if y not in st.ends[v]:
             # one verdict stands for every candidate that ends no arc at v
-            assert off_arc == st._validate_vertex(v, path[-2], y, c)
+            assert off_arc == validate_vertex(st, v, path[-2], y, c)
         if ok:
             out.append(y)
     # the whole set at once, with the verdict _passing takes once per end
@@ -389,7 +390,7 @@ def _walk(st, tally):
             assert chosen == first, st.fpath  # a tie keeps the first end
         path = st.fpath[fid]
         v, c = path[-1], st.size_char[st.fsize[fid]]
-        if not st._validate_vertex(v, path[-2], 0, c):
+        if not validate_vertex(st, v, path[-2], 0, c):
             # a forced fan: only labels that end an arc of v can pass
             assert all(y in st.ends[v] for y in kids), st.fpath
         tally["early"] += rejected

@@ -104,7 +104,7 @@ def test_rejected_root_star_step_raises(monkeypatch):
     # the root star always assembles once _diagnostic passes, so a rejected
     # step is a fault of the kernel: the run must not report a tree it never
     # searched as complete
-    monkeypatch.setattr(_Search, "_append_ok", lambda self, fid, y: False)
+    monkeypatch.setattr(_Search, "_passing", lambda self, fid, raw, limit: [])
     with pytest.raises(RuntimeError, match="root star"):
         enumerate_maps("[3^5,4^1]", 12, -1)
 

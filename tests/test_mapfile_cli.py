@@ -10,7 +10,7 @@ from conftest import CUBE, TETRAHEDRON, checkout_env
 
 from semeq.cli import build_parser, main
 from semeq.mapcore import build_from_faces, face_list_of
-from semeq.mapfile import MapFileError, dumps, loads
+from semeq.mapfile import MapFileError, dumps, loads, read_map_file, write_map_file
 from semeq.symmetry import canonical_code, isomorphic
 
 
@@ -97,6 +97,15 @@ def test_loads_json_needs_integers(doc):
     # a JSON number is taken as it is written, never truncated
     with pytest.raises(MapFileError, match="integer"):
         loads(doc)
+
+
+def test_map_file_round_trip(cube, tmp_path):
+    path = tmp_path / "cube.map"
+    write_map_file(path, cube, comment="unit cube\nsecond line")
+    assert path.read_text().startswith("# unit cube\n# second line\nvertices 8\n")
+    again = build_from_faces(read_map_file(str(path)))
+    assert canonical_code(again) == canonical_code(cube)
+    assert read_map_file(path) == loads(dumps(cube))
 
 
 def test_comments_and_whitespace():
@@ -271,6 +280,39 @@ def test_cli_empty_checkpoint_refused(command, tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     assert "argument --checkpoint: " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_empty_emit_refused(tmp_path, monkeypatch, capsys):
+    # an empty --emit read as no option: the maps were listed, none written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--type", "[3^5,4^1]", "--n", "12", "--chi", "-1", "--emit", ""])
+    assert exc.value.code == 2
+    assert "argument --emit: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_unreadable_map_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.map")
+    for command in (["verify", missing], ["truncate", missing], ["iso", missing, missing]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+
+
+def test_cli_unwritable_emit(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert main(["enumerate", "--type", "[3^5,4^1]", "--n", "12", "--chi", "-1",
+                 "--emit", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{target}-1.map" in err
+
+
+def test_cli_gi_negative_index_refused(cube_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gi", cube_file, "--i", "-1"])
+    assert exc.value.code == 2
+    assert "argument --i: " in capsys.readouterr().err
 
 
 # each integer option after a command that parses without it
