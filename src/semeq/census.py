@@ -14,7 +14,7 @@ reports mean equal censuses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .enumerator import EnumOptions, enumerate_maps
 from .mapcore import CombMap, surface_signature
@@ -104,12 +104,7 @@ def census_report_json(chi: int, rows: list[CensusRow],
     doc = {
         "schema_version": CENSUS_SCHEMA_VERSION,
         "euler_characteristic": chi,
-        "filters": {
-            "prop1": filters.prop1,
-            "min_vertices": filters.min_vertices,
-            "min_face_count": filters.min_face_count,
-            "closed_star": filters.closed_star,
-        },
+        "filters": asdict(filters),
         "rows": [
             {
                 "type": str(row.pair.type),

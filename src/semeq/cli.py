@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all maps of one type up to isomorphism")
     p.add_argument("--type", required=True)
-    p.add_argument("--n", type=_integer(), required=True)
+    p.add_argument("--n", type=_integer(1), required=True)
     p.add_argument("--chi", type=_integer(), required=True)
     p.add_argument("--emit", type=_path, default=None, help="write maps to EMIT-<i>.map")
     common(p, enum=True)

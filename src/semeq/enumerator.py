@@ -217,16 +217,20 @@ class _Search:
     of the open face, in branching order, with that end turned last in the
     path (a journaled reversal); rejected counts the candidates of that
     end that failed, raw count less children.  One loop (_passing) tests
-    every candidate of an end, with no call per candidate, and the steps
-    are applied and undone in place, each table written where it is used.
+    every candidate of an end, and one rule (_fan_facts) decides every fan
+    it tests.  A step lays each edge with _put_edge, the only edge writer,
+    and each corner with _put_corner, which writes a copy of the vertex's
+    arc table.
 
     The journal holds one record per applied step: (0, fid, y, fresh, edge
-    keys, corner) for an extension, with the closing edge's key among the
-    keys and the corners at y and at the first vertex appended when the
-    step closes the face; (1, fid, x) for a face begun at x, which the
-    extension by its second vertex follows; (7, fid) for a reversed path.
-    A step that adds y to fid sets y's bit of fmask[fid] and appends fid to
-    vfaces[y].
+    keys, corners) for an extension, with the closing edge's key among the
+    keys when the step closes the face; (1, fid, x) for a face begun at x,
+    which the extension by its second vertex follows; (7, fid) for a
+    reversed path.  corners holds one (v, replaced arc table) pair for each
+    corner the step added: none for the second vertex of a face, the one at
+    the path's old end otherwise, and those at y and at the first vertex
+    too when the step closes the face.  A step that adds y to fid sets y's
+    bit of fmask[fid] and appends fid to vfaces[y].
     undo_to unwinds each record in one pass, popping exactly the records
     past the mark.
     """
@@ -268,11 +272,11 @@ class _Search:
         """Unwind the journal to mark, one record per applied step.  The
         changes of a step touch distinct table slots (its corners sit at
         distinct vertices), so their order of undoing is free: here the
-        face's vertex entries, then the corners and the path, then the
-        edges."""
+        face's vertex entries, then the path and the corners, each put back
+        by restoring the arc table it replaced, then the edges."""
         j = self.journal
         fpath, ef, sat, width = self.fpath, self.edge_faces, self.saturated, self.width
-        fmask, vfaces, undo_corner = self.fmask, self.vfaces, self._undo_corner
+        fmask, vfaces, all_ends, cc = self.fmask, self.vfaces, self.ends, self.corner_count
         for _ in range(len(j) - mark):
             op = j.pop()
             tag = op[0]
@@ -285,14 +289,14 @@ class _Search:
                 self.budget[self.fsize.pop()] += 1
                 fpath.pop()
                 fmask.pop()
-            else:  # face fid extended by y; closed too when op has 8 fields
+            else:  # face fid extended by y
                 fmask[fid] ^= 1 << y
-                if len(op) > 6:
-                    undo_corner(op[7])
-                    undo_corner(op[6])
                 fpath[fid].pop()
-                if op[5] is not None:
-                    undo_corner(op[5])
+                for v, arcs in op[5]:
+                    if cc[v] == self.d:
+                        self.open.add(v)
+                    cc[v] -= 1
+                    all_ends[v] = arcs
                 for key in op[4]:
                     lst = ef[key]
                     lst.pop()
@@ -305,23 +309,6 @@ class _Search:
                 if op[3]:  # y was the fresh label
                     self.labels_used -= 1
                     self.open.remove(y)
-
-    def _undo_corner(self, rec: tuple) -> None:
-        """Remove a corner, restoring the arc-end entries it replaced."""
-        v, a, arc_a, b, arc_b, far_a, far_b = rec
-        ends = self.ends[v]
-        if self.corner_count[v] == self.d:
-            self.open.add(v)
-        self.corner_count[v] -= 1
-        if arc_a is None or arc_a[0] != b:
-            del ends[a if arc_a is None else arc_a[0]]
-            del ends[b if arc_b is None else arc_b[0]]
-        if arc_a is not None:
-            ends[a] = arc_a
-            ends[arc_a[0]] = far_a
-        if arc_b is not None:
-            ends[b] = arc_b
-            ends[arc_b[0]] = far_b
 
     # -- checks: pure functions of the state and one prospective change -----
 
@@ -356,20 +343,21 @@ class _Search:
         ascending, with the fresh label (the largest) first under
         fresh_first.
 
-        One loop tests each label inline, with no call per label: the fan
-        at v (the path's last vertex) with its new corner, the face pairs
-        meeting at y, then either the half corner at y or, when the step
-        closes the face, the fans at y and first with their new corners.
-        The facts of the fans at v and first that do not depend on y are
-        read once (_fan_facts): a label that ends no arc there takes one
-        shared verdict, and one that ends an arc takes one word lookup.
-        When the verdict at v is False the fan is forced, and only the
-        labels of raw that end an arc of v are tried (the fresh label ends
-        none).  The fan at y, whose corner joins the arcs ending at v and
-        at first, is the same rule written out.  A begun face gives v the
-        new edge but no corner: where an arc of v ends at y, the face is
-        forced next to it, so c must extend the arc's word, and the half
-        corner at y is the same test from y.
+        One loop tests each label: the fan at v (the path's last vertex)
+        with its new corner, the face pairs meeting at y, then either the
+        half corner at y or, when the step closes the face, the fans at
+        first and y with their new corners.  Every fan test reads the facts
+        of one rule, _fan_facts, for a corner between two neighbours, and
+        looks up the other neighbour in the arc table: one that ends no arc
+        there takes the shared verdict, and one that ends an arc takes one
+        word lookup.  The facts at v and first do not depend on y and are
+        read once per call; those at y, whose corner joins the arcs ending
+        at v and at first, once per label that reaches the test.  When the
+        verdict at v is False the fan is forced, and only the labels of raw
+        that end an arc of v are tried (the fresh label ends none).  A begun
+        face gives v the new edge but no corner: where an arc of v ends at
+        y, the face is forced next to it, so c must extend the arc's word,
+        and the half corner at y is the same test from y.
 
         The pair test decides each pair of faces when it forms: a closed
         face g that already shares one vertex u with fid may share y only
@@ -395,11 +383,11 @@ class _Search:
         path = self.fpath[fid]
         v, first = path[-1], path[0]
         c = self.size_char[self.fsize[fid]]
-        ends = self.ends[v]
+        ends, fan_facts = self.ends[v], self._fan_facts
         if len(path) == 1:  # begun: a half corner at v
             off, room, head, closer, close_ok = True, True, c, 0, False
         else:
-            off, room, head, closer, close_ok = self._fan_facts(v, path[-2], c)
+            off, room, head, closer, close_ok = fan_facts(v, path[-2], c)
         if off:
             cands = sorted(raw)
             if self.fresh_first and cands and cands[-1] > self.labels_used:
@@ -408,8 +396,8 @@ class _Search:
             cands = sorted(raw.intersection(ends))
         closing = len(path) + 1 == self.fsize[fid]
         if closing:
-            f_off, f_room, f_head, f_closer, f_close_ok = self._fan_facts(first, path[1], c)
-            f_ends, cc, d = self.ends[first], self.corner_count, self.d
+            f_off, f_room, f_head, f_closer, f_close_ok = fan_facts(first, path[1], c)
+            f_ends = self.ends[first]
         words, all_ends, pair_prune, vfaces = self.words, self.ends, self.pair_prune, self.vfaces
         fmask, ef, width = self.fmask, self.edge_faces, self.width
         # the vertices fid may share with a face it meets at y
@@ -442,21 +430,15 @@ class _Search:
                         continue
                 elif not f_off:
                     continue
-                # the fan at y: an arc of y ends at v (at first) exactly
-                # when y ends an arc of v (of first)
+                # the fan at y, whose corner joins the arcs ending at v and
+                # at first
+                y_off, y_room, y_head, y_closer, y_close_ok = fan_facts(y, v, c)
                 y_ends = all_ends[y]
-                k = d - cc[y] - 1
-                arcs = len(y_ends) >> 1
-                if y not in ends:
-                    ok = k > arcs if y not in f_ends else (
-                        k >= arcs and c + y_ends[first][1] in words)
-                elif y not in f_ends:
-                    ok = k >= arcs and c + y_ends[v][1] in words
-                elif y_ends[v][0] == first:  # the arc closes: only as the whole fan
-                    ok = not k and c + y_ends[v][1] in words
-                else:
-                    ok = k >= arcs - 1 and y_ends[y_ends[v][0]][1] + c + y_ends[first][1] in words
-                if not ok:
+                if first in y_ends:
+                    if not (y_close_ok if first == y_closer
+                            else y_room and y_head + y_ends[first][1] in words):
+                        continue
+                elif not y_off:
                     continue
             out.append(y)
             limit -= 1
@@ -498,32 +480,30 @@ class _Search:
 
     def _put_corner(self, v: int, fid: int, a: int, b: int) -> tuple:
         """Add the corner of fid at v between neighbours a and b, joining the
-        arcs that end at a and at b; v leaves the open labels with its d-th
-        corner."""
-        ends = self.ends[v]
+        arcs that end at a and at b, in a copy of v's arc table; v leaves
+        the open labels with its d-th corner.  Returns (v, the replaced
+        table), which undo_to puts back."""
+        old = self.ends[v]
+        ends = self.ends[v] = old.copy()
         c = self.size_char[self.fsize[fid]]
         arc_a = ends.pop(a, None)
         arc_b = ends.pop(b, None)
         self.corner_count[v] += 1
         if arc_a is not None and arc_a[0] == b:
             # the last arc closes into the full fan cycle
-            far_a, far_b = arc_b, arc_a
             self.open.remove(v)
         else:
-            far_a = far_b = None
             end_a, fwd_a, back_a = a, "", ""
             if arc_a is not None:
                 end_a = arc_a[0]
-                far_a = ends[end_a]
-                fwd_a, back_a = far_a[1], arc_a[1]
+                fwd_a, back_a = ends[end_a][1], arc_a[1]
             end_b, fwd_b, back_b = b, "", ""
             if arc_b is not None:
                 end_b = arc_b[0]
-                far_b = ends[end_b]
-                fwd_b, back_b = arc_b[1], far_b[1]
+                fwd_b, back_b = arc_b[1], ends[end_b][1]
             ends[end_a] = (end_b, fwd_a + c + fwd_b)
             ends[end_b] = (end_a, back_b + c + back_a)
-        return (v, a, arc_a, b, arc_b, far_a, far_b)
+        return v, old
 
     def _start_face(self, size: int, x: int, v: int) -> bool:
         """Begin a face of the given size on edge {x, v}: open it at x (one
@@ -552,28 +532,20 @@ class _Search:
             self.open.add(y)
         path = self.fpath[fid]
         v = path[-1]
-        key = v * self.width + y if v < y else y * self.width + v
-        lst = self.edge_faces[key]
-        if lst is None:
-            self.edge_faces[key] = [fid]
-        else:
-            lst.append(fid)
-            self.saturated[v].add(y)
-            self.saturated[y].add(v)
+        key = self._put_edge(v, y, fid)
         self.fmask[fid] |= 1 << y
         self.vfaces[y].append(fid)
-        corner = self._put_corner(v, fid, path[-2], y) if len(path) > 1 else None
+        corners = (self._put_corner(v, fid, path[-2], y),) if len(path) > 1 else ()
         path.append(y)
         size = self.fsize[fid]
         if len(path) < size:
-            self.journal.append((0, fid, y, fresh, (key,), corner))
+            self.journal.append((0, fid, y, fresh, (key,), corners))
             return True
         first = path[0]
         keys = (key, self._put_edge(y, first, fid))
-        corner_y = self._put_corner(y, fid, v, first)
-        corner_first = self._put_corner(first, fid, y, path[1])
+        corners += (self._put_corner(y, fid, v, first), self._put_corner(first, fid, y, path[1]))
         # journaled before the check: the caller unwinds a failing close
-        self.journal.append((0, fid, y, fresh, keys, corner, corner_y, corner_first))
+        self.journal.append((0, fid, y, fresh, keys, corners))
         return self.budget[size] > 0 or self._size_supply_ok(size)
 
     # -- seeding -----------------------------------------------------------
@@ -974,7 +946,10 @@ def _normalize_type(t) -> VertexTypeSpec:
 def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
     """Why no map of this type with n vertices can exist on chi, or None:
     the one place a search decides the order-free rules.  When it returns
-    None the root star assembles (see _Search.seed)."""
+    None the root star assembles (see _Search.seed).  A vertex count below
+    1 counts no map at all and raises InconsistentParametersError."""
+    if n < 1:
+        raise InconsistentParametersError(f"vertex count must be positive, got {n}")
     d = spec.degree
     if (n * d) % 2:
         return f"n*d = {n}*{d} is odd, so the edge count n*d/2 is not an integer"
@@ -1081,12 +1056,11 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     the diagnostic (no such map can exist).  complete=False only when a node
     budget was exhausted.  Each map is the first completion of its class
     that the search validated, and it carries its canonical scan (see
-    EnumerationResult).
+    EnumerationResult).  A vertex count below 1 raises
+    InconsistentParametersError.
     """
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
-    if n < 1:
-        raise InconsistentParametersError(f"vertex count must be positive, got {n}")
     t_start = time.perf_counter()
     stats = EnumerationStats()
     collector: dict = {}
@@ -1106,7 +1080,8 @@ def exists_any(t, n: int, chi: int, opts: EnumOptions | None = None) -> Optional
     the whole tree is exhausted.  Always one unsplit in-process search:
     threads and checkpoint_path are not used.  Honors the node budget by
     raising nothing and returning None (check the result of enumerate_maps
-    for budget diagnostics when that distinction matters)."""
+    for budget diagnostics when that distinction matters).  Raises
+    InconsistentParametersError when n < 1, as enumerate_maps does."""
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
     collector: dict = {}

@@ -147,13 +147,6 @@ class CombMap:
         self._fans = None
         self._canon = None  # symmetry's canonical scan, filled on first use
 
-    @property
-    def vertex_count(self) -> int:
-        return self.f0
-
-    def degree(self, v: int) -> int:
-        return len(self.vertex_fan(v))
-
     def vertex_fan(self, v: int) -> tuple[int, ...]:
         """Faces incident to vertex v in rotation order (face indices)."""
         return self._all_fans()[v - 1][0]

@@ -1,4 +1,5 @@
-"""The demos run end to end and leave nothing behind in the working directory.
+"""The demos and the README's library quick start run end to end and leave
+nothing behind in the working directory.
 
 Demo 05 (the full chi = -1 census report, minutes) is left out.
 """
@@ -11,7 +12,8 @@ import pytest
 
 from conftest import checkout_env
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", [
@@ -27,4 +29,18 @@ def test_demo_runs_clean(name, tmp_path):
         text=True, env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_quick_start_runs_clean(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the 18 admissible rows, then one line for each of the 3 maps
+    assert len(proc.stdout.splitlines()) == 18 + 3
     assert list(tmp_path.iterdir()) == []

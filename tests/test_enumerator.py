@@ -13,6 +13,7 @@ from semeq.census import analyze_map
 from semeq.enumerator import (
     CorruptCheckpointError,
     EnumOptions,
+    InconsistentParametersError,
     _checkpoint_bytes,
     _checkpoint_parse,
     _diagnostic,
@@ -89,6 +90,13 @@ def test_soundness_of_outputs():
     assert m.f0 == 12
     assert euler_characteristic(m) == -1
     assert semi_equivelar_type(m).cycle == (3, 4, 3, 4, 4)
+
+
+@pytest.mark.parametrize("search", [enumerate_maps, exists_any])
+@pytest.mark.parametrize("n,chi", [(0, -1), (-12, 1)])
+def test_nonpositive_vertex_count_refused(search, n, chi):
+    with pytest.raises(InconsistentParametersError, match="vertex count must be positive"):
+        search("[3^5,4^1]", n, chi)
 
 
 def test_inconsistent_parameters_diagnosed():

@@ -315,6 +315,13 @@ def test_cli_gi_negative_index_refused(cube_file, capsys):
     assert "argument --i: " in capsys.readouterr().err
 
 
+def test_cli_enumerate_nonpositive_vertex_count_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--type", "[3^5,4^1]", "--n", "0", "--chi", "-1"])
+    assert exc.value.code == 2
+    assert "argument --n: must be at least 1, got 0" in capsys.readouterr().err
+
+
 # each integer option after a command that parses without it
 INTEGER_OPTIONS = {
     "--chi": ["classify", "--chi", "-1"],
