@@ -946,8 +946,11 @@ def _normalize_type(t) -> VertexTypeSpec:
 def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
     """Why no map of this type with n vertices can exist on chi, or None:
     the one place a search decides the order-free rules.  When it returns
-    None the root star assembles (see _Search.seed).  A vertex count below
-    1 counts no map at all and raises InconsistentParametersError."""
+    None the root star assembles (see _Search.seed).  A vertex count that
+    is not an int (a float, a bool) or is below 1 counts no map at all and
+    raises InconsistentParametersError."""
+    if type(n) is not int:
+        raise InconsistentParametersError(f"vertex count must be an int, got {n!r}")
     if n < 1:
         raise InconsistentParametersError(f"vertex count must be positive, got {n}")
     d = spec.degree
@@ -1056,8 +1059,8 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     the diagnostic (no such map can exist).  complete=False only when a node
     budget was exhausted.  Each map is the first completion of its class
     that the search validated, and it carries its canonical scan (see
-    EnumerationResult).  A vertex count below 1 raises
-    InconsistentParametersError.
+    EnumerationResult).  A vertex count that is not an int or is below 1
+    raises InconsistentParametersError.
     """
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
@@ -1081,7 +1084,8 @@ def exists_any(t, n: int, chi: int, opts: EnumOptions | None = None) -> Optional
     threads and checkpoint_path are not used.  Honors the node budget by
     raising nothing and returning None (check the result of enumerate_maps
     for budget diagnostics when that distinction matters).  Raises
-    InconsistentParametersError when n < 1, as enumerate_maps does."""
+    InconsistentParametersError when n is not an int or n < 1, as
+    enumerate_maps does."""
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
     collector: dict = {}

@@ -207,21 +207,18 @@ def isomorphic(m1: CombMap, m2: CombMap) -> Optional[dict[int, int]]:
     """A vertex bijection carrying m1 onto m2, or None.
 
     When the canonical codes agree, matching the two canonical traversals
-    flag-by-flag induces the bijection; it maps faces to faces by
-    construction.
+    flag-by-flag is a flag isomorphism: it commutes with s0, s1 and s2, so
+    it carries each vertex's flags (an orbit of s1 and s2) onto one vertex's
+    flags and maps faces to faces.  Read at every flag it gives one
+    consistent vertex bijection.
     """
     if m1.flag_count != m2.flag_count:
         return None
     form1, form2 = _canonical_form(m1), _canonical_form(m2)
     if form1.code != form2.code:
         return None
-    mapping: dict[int, int] = {}
-    for fl1, fl2 in zip(form1.order, form2.order):
-        a = m1.vertex_of[fl1] + 1
-        b = m2.vertex_of[fl2] + 1
-        if mapping.setdefault(a, b) != b:
-            return None
-    return mapping
+    return {m1.vertex_of[a] + 1: m2.vertex_of[b] + 1
+            for a, b in zip(form1.order, form2.order)}
 
 
 @dataclass(frozen=True)

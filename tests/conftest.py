@@ -22,6 +22,11 @@ DOUBLED_TRIANGLE = FaceListMap(3, ((1, 2, 3), (1, 3, 2)))
 BIPYRAMID = FaceListMap(
     5, ((1, 2, 3), (1, 3, 4), (1, 4, 2), (5, 2, 3), (5, 3, 4), (5, 4, 2))
 )
+# the icosahedron, vertex 12 antipodal to vertex 1, as map-file face lists
+ICOSAHEDRON = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2], [2, 3, 7], [3, 4, 8],
+               [4, 5, 9], [5, 6, 10], [6, 2, 11], [3, 8, 7], [4, 9, 8], [5, 10, 9],
+               [6, 11, 10], [2, 7, 11], [12, 7, 8], [12, 8, 9], [12, 9, 10], [12, 10, 11],
+               [12, 11, 7]]
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -91,6 +91,32 @@ def canonical_scan_full(m) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     return _encode(best), tuple(starts), tuple(best_order)
 
 
+def disc_star_failures(m) -> list[int]:
+    """The vertices whose link cycle, as link_cycle reads it, repeats a
+    vertex: the disc-star rule validate_polyhedral applied next to its
+    face-pair test until that test was shown to imply it."""
+    out = []
+    for v in range(1, m.f0 + 1):
+        boundary = link_cycle(m, v).boundary
+        if len(set(boundary)) != len(boundary):
+            out.append(v)
+    return out
+
+
+def polyhedral_two_part(m) -> bool:
+    """Oracle for validate_polyhedral(m).ok: the two-part rule written out
+    on its own.  Any two distinct faces share at most one edge, and at most
+    two vertices with an edge or one without; and no vertex fails the
+    disc-star rule."""
+    edge_sets = [{frozenset((f[i - 1], f[i])) for i in range(len(f))} for f in m.faces]
+    for i, f in enumerate(m.faces):
+        for j in range(i + 1, len(m.faces)):
+            shared_e = len(edge_sets[i] & edge_sets[j])
+            if shared_e > 1 or len(set(f) & set(m.faces[j])) > (2 if shared_e else 1):
+                return False
+    return not disc_star_failures(m)
+
+
 def gi_buckets_pairwise(m) -> dict[int, list[tuple[int, int]]]:
     """Oracle for the G_i graphs: every vertex pair a < b in label order,
     bucketed by |L(a) & L(b)|, where L(v) is the vertex set of v's link

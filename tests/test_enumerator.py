@@ -8,6 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
+from conftest import ICOSAHEDRON
 from semeq import enumerator, symmetry
 from semeq.census import analyze_map
 from semeq.enumerator import (
@@ -22,7 +23,8 @@ from semeq.enumerator import (
     enumerate_maps,
     exists_any,
 )
-from semeq.mapcore import euler_characteristic, semi_equivelar_type, validate_polyhedral
+from semeq.mapcore import (euler_characteristic, semi_equivelar_type, surface_signature,
+                           validate_polyhedral)
 from semeq.mapfile import dumps
 from semeq.symmetry import canonical_code, isomorphic
 from semeq.typecalc import (VertexTypeSpec, admissible_types, face_counts, normalize_cycle,
@@ -65,6 +67,24 @@ def test_sphere_oracles(tstr, n, chi, count):
     assert len(r.maps) == count
 
 
+# Beyond the sphere, one map each: the 7-vertex torus (Moebius, Csaszar),
+# and on the projective plane the hemi-icosahedron and hemi-dodecahedron,
+# with the (chi, orientable, Euler genus) that surface_signature reports.
+SURFACE_CASES = [
+    ("[3^6]", 7, 0, (0, True, 2)),
+    ("[3^5]", 6, 1, (1, False, 1)),
+    ("[5^3]", 10, 1, (1, False, 1)),
+]
+
+
+@pytest.mark.parametrize("tstr,n,chi,signature", SURFACE_CASES)
+def test_surface_oracles(tstr, n, chi, signature):
+    r = enumerate_maps(tstr, n, chi)
+    assert r.complete
+    assert len(r.maps) == 1
+    assert surface_signature(r.maps[0]) == signature
+
+
 @pytest.mark.xfail(strict=True, reason="truncated dodecahedron: the tree stalls while the "
                    "open decagon reuses labels, until an Euler-genus prune lands "
                    "(ROADMAP item 4)")
@@ -97,6 +117,13 @@ def test_soundness_of_outputs():
 def test_nonpositive_vertex_count_refused(search, n, chi):
     with pytest.raises(InconsistentParametersError, match="vertex count must be positive"):
         search("[3^5,4^1]", n, chi)
+
+
+@pytest.mark.parametrize("search", [enumerate_maps, exists_any])
+@pytest.mark.parametrize("n", [4.0, True])
+def test_non_int_vertex_count_refused(search, n):
+    with pytest.raises(InconsistentParametersError, match="vertex count must be an int"):
+        search("[3^3]", n, 2)
 
 
 def test_inconsistent_parameters_diagnosed():
@@ -244,12 +271,6 @@ def test_format2_checkpoint_rejected(tmp_path, complete_checkpoint):
         enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
 
 
-# the icosahedron: 12 vertices, like a [3^5,4^1]/12 map, but type [3^5]
-ICOSAHEDRON = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2], [2, 3, 7], [3, 4, 8],
-               [4, 5, 9], [5, 6, 10], [6, 2, 11], [3, 8, 7], [4, 9, 8], [5, 10, 9],
-               [6, 11, 10], [2, 7, 11], [12, 7, 8], [12, 8, 9], [12, 9, 10], [12, 10, 11],
-               [12, 11, 7]]
-
 # each edit of a finished checkpoint, and the message its resume must give
 MALFORMED = {
     "not-utf8": (lambda doc: b'{"format": "\xff"}', "undecodable"),
@@ -266,7 +287,8 @@ MALFORMED = {
     "other-n": (lambda doc: {**doc, "header": {**doc["header"], "n": 13}},
                 "different parameters"),
     # a stored map passes the checks a completion passes, or the resume
-    # would return it as a fourth class
+    # would return it as a fourth class; the icosahedron has 12 vertices,
+    # like a [3^5,4^1]/12 map, but type [3^5]
     "wrong-type": (lambda doc: {**doc, "maps": doc["maps"] + [ICOSAHEDRON]},
                    "not a polyhedral map of type"),
 }

@@ -2,13 +2,18 @@
 
 import pytest
 
-from conftest import BIPYRAMID, CUBE, DOUBLED_TRIANGLE, TETRAHEDRON
+from conftest import BIPYRAMID, CUBE, DOUBLED_TRIANGLE, ICOSAHEDRON, TETRAHEDRON
+from oracles import disc_star_failures, polyhedral_two_part
 
+from semeq import enumerator
+from semeq.enumerator import EnumOptions, enumerate_maps
+from semeq.fixtures import fixture_map, fixture_names
 from semeq.mapcore import (
     DisconnectedError,
     EdgeDegreeError,
     FaceListMap,
     NoSuchVertexError,
+    PinchedVertexError,
     RepeatedVertexInFaceError,
     build_from_faces,
     dual_map,
@@ -21,7 +26,14 @@ from semeq.mapcore import (
     validate_polyhedral,
 )
 from semeq.symmetry import canonical_code
+from semeq.transforms import rectify, truncate
 from semeq.typecalc import normalize_cycle
+
+
+def k5_torus():
+    """K5 on the torus: the twisted quad faces (i, i+1, i+3, i+2) mod 5."""
+    faces = tuple(tuple((i + k) % 5 + 1 for k in (0, 1, 3, 2)) for i in range(5))
+    return build_from_faces(FaceListMap(5, faces))
 
 
 def k7_torus():
@@ -67,6 +79,53 @@ def test_same_orientation_double_builds_nonpolyhedral():
 def test_repeated_vertex_in_face_rejected():
     with pytest.raises(RepeatedVertexInFaceError):
         FaceListMap(3, ((1, 2, 3, 2), (1, 3, 2)))
+
+
+def test_pinched_vertex_rejected():
+    # the icosahedron with antipodal vertices 12 and 1 identified: label 1
+    # carries two umbrellas of 5 corners each
+    faces = tuple(tuple(1 if v == 12 else v for v in f) for f in ICOSAHEDRON)
+    with pytest.raises(PinchedVertexError, match="vertex 1 has 10 corners but an umbrella of only 5"):
+        build_from_faces(FaceListMap(11, faces))
+
+
+def test_vertices_beyond_edge_witness():
+    # any two faces of K5 on the torus share one edge and a third vertex
+    m = k5_torus()
+    assert surface_signature(m) == (0, True, 2)
+    report = validate_polyhedral(m)
+    assert not report.ok
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert report.violations == tuple(
+        ("big-face-intersection", (i, j, "vertices-beyond-edge")) for i, j in pairs
+    )
+
+
+def test_face_pair_test_decides_polyhedrality(monkeypatch):
+    # the completions that disable_pair_prune searches reject as
+    # non-polyhedral, each of which also fails the disc-star rule
+    rejected = []
+
+    def recording(m):
+        report = validate_polyhedral(m)
+        if not report.ok:
+            rejected.append(m)
+        return report
+
+    monkeypatch.setattr(enumerator, "validate_polyhedral", recording)
+    for tstr, n, chi in (("[3^5,4^1]", 12, -1), ("[4^4]", 12, 0), ("[3^2,4^1,3^1,4^1]", 16, 0)):
+        assert enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=True)).complete
+    assert len(rejected) == 20
+    assert all(disc_star_failures(m) for m in rejected)
+    maps = rejected + [build_from_faces(DOUBLED_TRIANGLE), k5_torus()]
+    for name in fixture_names():
+        m = fixture_map(name)
+        maps += [m, truncate(m), rectify(m)]
+    for m in maps:
+        report = validate_polyhedral(m)
+        assert report.ok == polyhedral_two_part(m)
+        if disc_star_failures(m):
+            assert any(kind == "big-face-intersection" for kind, _ in report.violations)
 
 
 def test_disconnected_rejected():

@@ -60,8 +60,13 @@ def test_isomorphic_witness_maps_faces(cube):
         assert frozenset(bij[v] for v in f) in target_faces
 
 
-def test_isomorphic_none_for_different_maps(cube, tetrahedron):
+def test_isomorphic_none_for_different_maps(cube, tetrahedron, census_4451):
     assert isomorphic(cube, tetrahedron) is None
+    # equal flag counts, so the codes decide
+    a, b = census_4451.maps[:2]
+    assert a.flag_count == b.flag_count
+    assert canonical_code(a) != canonical_code(b)
+    assert isomorphic(a, b) is None
 
 
 def test_self_isomorphism(cube):
@@ -153,6 +158,22 @@ def _cyclic(n, degree):
     return [tuple((i + k) % degree for i in base) for k in range(n)]
 
 
+def _compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+def _generate(*gens):
+    """Every element of the permutation group the generators generate."""
+    elems = set()
+    frontier = [tuple(range(len(gens[0])))]
+    while frontier:
+        g = frontier.pop()
+        if g not in elems:
+            elems.add(g)
+            frontier += [_compose(g, h) for h in gens]
+    return sorted(elems)
+
+
 def test_recognize_group_catalog():
     ident3 = tuple(range(3))
     assert recognize_group([ident3]) == "trivial"
@@ -168,32 +189,27 @@ def test_recognize_group_catalog():
     ]
     assert recognize_group(klein) == "D_2 (Klein four)"
     # dihedral of order 8 acting on the square's corners
-    rot = (1, 2, 3, 0)
-    flip = (3, 2, 1, 0)
-
-    def compose(p, q):
-        return tuple(p[x] for x in q)
-
-    elems = set()
-    frontier = [tuple(range(4))]
-    while frontier:
-        g = frontier.pop()
-        if g in elems:
-            continue
-        elems.add(g)
-        frontier.append(compose(g, rot))
-        frontier.append(compose(g, flip))
-    assert recognize_group(list(elems)) == "D_4"
+    elems = _generate((1, 2, 3, 0), (3, 2, 1, 0))
+    assert recognize_group(elems) == "D_4"
     # the same group acting on its own 8 elements by left multiplication:
     # another faithful action, the same label
-    elems = sorted(elems)
     index = {g: i for i, g in enumerate(elems)}
-    regular = [tuple(index[compose(g, h)] for h in elems) for g in elems]
+    regular = [tuple(index[_compose(g, h)] for h in elems) for g in elems]
     assert len(set(regular)) == 8
     assert recognize_group(regular) == "D_4"
     # symmetric group S4 = order 24 > 16
     s4 = list(itertools.permutations(range(4)))
     assert recognize_group(s4) == "unrecognized(24)"
+    # elementary abelian: three commuting transpositions, two disjoint 3-cycles
+    z2_cubed = _generate((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4))
+    assert recognize_group(z2_cubed) == "elementary-abelian (Z_2^3)"
+    z3_squared = _generate((1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3))
+    assert recognize_group(z3_squared) == "elementary-abelian (Z_3^2)"
+    # outside the catalog: Z_4 x Z_2 (abelian, not dihedral) and A_4
+    z4_z2 = _generate((1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4))
+    assert len(z4_z2) == 8 and recognize_group(z4_z2) == "unrecognized(8)"
+    a4 = _generate((1, 2, 0, 3), (1, 0, 3, 2))
+    assert len(a4) == 12 and recognize_group(a4) == "unrecognized(12)"
 
 
 @settings(max_examples=20, deadline=None)

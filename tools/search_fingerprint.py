@@ -48,6 +48,10 @@ CHECKOUT is the repository whose src/ is fingerprinted (default: the one
 this script sits in), so a second checkout can be compared without copying
 the script into it.  Takes about six minutes on 2 CPUs; [3^4,8^1]/24
 dominates.
+
+tools/search_fingerprint.expected holds the 8 lines this tree prints, and
+CI diffs the output against it: a change that moves the search shows the
+moved lines in review, and commits the new lines with it.
 """
 
 import hashlib
