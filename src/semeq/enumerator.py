@@ -26,21 +26,14 @@ candidates (fail first): the end with fewer raw candidates is filtered
 first, and the other end is counted only up to that number.  The choice
 depends on the state alone and every completion passes the checks at either
 end, so the search stays exhaustive.  Every vertex fan is kept as a table of
-its open arcs, keyed by end neighbour, each entry holding the arc's other
-end and the word of its face sizes.  A new corner joins at most two arcs, so
-a fan check is a few lookups and one set lookup among the words of the type
-cycle, with no walk around the fan; its verdict for the labels that end no
-arc is the same, so it is taken once per end filtered, and when it is False
-the fan is forced and only the labels that end one of its arcs are tried.
-The raw candidates of an end are a set of plain labels, built by set
-operations: the labels whose fan is still open (a set kept as corners close
-and labels are taken) less the path and the end's saturated neighbours
-(edges with two faces), plus the next unused label, which is the fresh one.
-Every prune is a necessary condition (edge used by at most two faces, the
-polyhedral face-intersection rules, partial fans embedding into the type
-cycle, face and label budgets), hence the search is exhaustive: it visits a
-superset of every map of the requested type, and each surviving completion
-is checked again by the full polyhedrality validator before being emitted.
+its open arcs (see _Search), so a fan check is a few lookups with no walk
+around the fan (see _passing), and the raw candidates of an end are built
+by set operations (see extend_candidates).  Every prune is a necessary
+condition (edge used by at most two faces, the polyhedral face-intersection
+rules, partial fans embedding into the type cycle, face and label budgets),
+hence the search is exhaustive: it visits a superset of every map of the
+requested type, and each surviving completion is checked again by the full
+polyhedrality validator before being emitted.
 """
 
 from __future__ import annotations
@@ -92,15 +85,18 @@ class EnumOptions:
     """Search controls.
 
     threads > 1 splits the tree into independent subtrees, one worker task
-    each; the result set never depends on the split.  A checkpoint path,
-    which may not be empty, splits it the same way, in-process when
-    threads == 1, and rewrites the checkpoint as subtrees finish, at most
-    once a second, and when the run ends.  Subtrees are merged in queue order, so a split run's maps, counts
-    and checkpoint bytes do not depend on threads.  node_budget (at least 0)
-    bounds expanded nodes (complete=False when hit); a split run divides it
-    evenly into per-subtree quotas of at least 1 each, and the nodes spent
-    building its frontier of subtrees are not charged to the budget, so any
-    budget below the number of subtrees acts as a quota of 1.
+    each; the result set never depends on the split.  A checkpoint path
+    splits it the same way, in-process when threads == 1, and rewrites the
+    checkpoint as subtrees finish, at most once a second, and when the run
+    ends.  The path is a str or any os.PathLike whose os.fspath is a str
+    (a pathlib.Path), stored as that str; it may not be empty, and a bytes
+    path is refused.  Subtrees are merged in queue order, so a split run's
+    maps, counts and checkpoint bytes do not depend on threads.
+    node_budget (at least 0) bounds expanded nodes (complete=False when
+    hit); a split run divides it evenly into per-subtree quotas of at least
+    1 each, and the nodes spent building its frontier of subtrees are not
+    charged to the budget, so any budget below the number of subtrees acts
+    as a quota of 1.
     branch_shuffle_seed randomizes the order of each node's children, after
     the end of the open face is chosen (testing aid).  fresh_first tries the
     new-label branch before label reuse: irrelevant for exhaustive counts,
@@ -131,9 +127,17 @@ class EnumOptions:
                                              or self.node_budget < 0):
             raise ValueError(f"node_budget must be a non-negative integer, "
                              f"not {self.node_budget!r}")
-        if self.checkpoint_path == "":
-            # a split run that would neither read nor write its checkpoint
-            raise ValueError("checkpoint_path must not be empty")
+        path = self.checkpoint_path
+        if path is not None:
+            # stored as a str: the saves append a suffix to it
+            path = os.fspath(path) if isinstance(path, os.PathLike) else path
+            if not isinstance(path, str):
+                raise ValueError(f"checkpoint_path must be a str or a str path, "
+                                 f"not {self.checkpoint_path!r}")
+            if not path:
+                # a split run that would neither read nor write its checkpoint
+                raise ValueError("checkpoint_path must not be empty")
+            object.__setattr__(self, "checkpoint_path", path)
         if (self.threads > 1 or self.checkpoint_path is not None) and (
             self.branch_shuffle_seed is not None or self.fresh_first
         ):
@@ -182,7 +186,9 @@ class EnumerationResult:
 
 
 class _Search:
-    """Mutable search state with an undo journal.
+    """Mutable search state with an undo journal, seeded when it is built:
+    a _Search always holds the closed star of vertex 1 (see seed), so it
+    always has faces, and its journal starts with the star's records.
 
     The fan of a vertex v is kept as its open arcs, maximal chains of corner
     faces at v that meet along edges of v: ``ends[v]`` maps each arc's end
@@ -231,8 +237,6 @@ class _Search:
     the path's old end otherwise, and those at y and at the first vertex
     too when the step closes the face.  A step that adds y to fid sets y's
     bit of fmask[fid] and appends fid to vfaces[y].
-    undo_to unwinds each record in one pass, popping exactly the records
-    past the mark.
     """
 
     def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
@@ -262,11 +266,9 @@ class _Search:
         self.labels_used = 0
         self.open: set[int] = set()
         self.journal: list[tuple] = []
+        self.seed()
 
     # -- journal ----------------------------------------------------------
-
-    def mark(self) -> int:
-        return len(self.journal)
 
     def undo_to(self, mark: int) -> None:
         """Unwind the journal to mark, one record per applied step.  The
@@ -457,10 +459,8 @@ class _Search:
         # both of its ends
         need = 2 * self.cycle.count(s)
         ch = self.size_char[s]
-        for v in self.open:
-            if sum(word.count(ch) for _, word in self.ends[v].values()) < need:
-                return False
-        return True
+        return all(sum(word.count(ch) for _, word in self.ends[v].values()) >= need
+                   for v in self.open)
 
     # -- mutators (the checks above have passed) --------------------------
     #
@@ -551,11 +551,11 @@ class _Search:
     # -- seeding -----------------------------------------------------------
 
     def seed(self) -> None:
-        """Fix the closed star of vertex 1: fan = the type cycle in order,
-        boundary labels 2.. in rotation order.  Decides no rule: once
-        _diagnostic passes, n >= closed star >= q + 1 for every size q, so
-        the star's labels are distinct and x_q = n*m_q/q > m_q.  A rejected
-        step is a fault of the kernel, and raises."""
+        """Fix the closed star of vertex 1 (run by __init__): fan = the type
+        cycle in order, boundary labels 2.. in rotation order.  Decides no
+        rule: once _diagnostic passes, n >= closed star >= q + 1 for every
+        size q, so the star's labels are distinct and x_q = n*m_q/q > m_q.
+        A rejected step is a fault of the kernel, and raises."""
         star = 1 + sum(c - 2 for c in self.cycle)
         ring = list(range(2, star + 1))
         m = len(ring)
@@ -575,18 +575,10 @@ class _Search:
             off += size - 2
 
     # -- deterministic slot and branching ----------------------------------
-    #
-    # Invariant: at most one face is incomplete at any time, the last one,
-    # and it is open exactly while its path is shorter than its size.  A face
-    # is begun only when every existing face is closed, and it is then
-    # extended until it closes.  Hence when a fan corner of the active vertex
-    # is chosen, the face occupying it in any completion either already exists complete
-    # (then the corner's edge carries two faces and is no free end) or has
-    # not been started at all, so "start a new face" covers every extension.
 
     def find_slot(self):
         fid = len(self.fsize) - 1
-        if fid >= 0 and len(self.fpath[fid]) < self.fsize[fid]:
+        if len(self.fpath[fid]) < self.fsize[fid]:
             # near: the candidates at the end that is last in the path
             near, far = self.extend_candidates(fid)
             path = self.fpath[fid]
@@ -626,11 +618,8 @@ class _Search:
         ends = self.ends[v]
         best_nbr = min(ends)
         word = ends[best_nbr][1]
-        sizes = []
-        for s in self.sizes_sorted:
-            if self.budget[s] > 0:
-                if self.size_char[s] + word in self.words:
-                    sizes.append(s)
+        sizes = [s for s in self.sizes_sorted
+                 if self.budget[s] > 0 and self.size_char[s] + word in self.words]
         return ("start", v, best_nbr, sizes)
 
     def extend_candidates(self, fid: int) -> tuple[set, set]:
@@ -638,9 +627,13 @@ class _Search:
         (after the last path vertex) and at its head (before the first), as
         sets of labels: the open labels off the path whose edge to that end
         has a free side, read from the saturated-neighbour sets, and the
-        next unused label when one is left.  A closing step lays both edges
-        and also puts a corner at the path's far end, so both ends get the
-        same set, or none when the far end's fan is full."""
+        next unused label when one is left.  A closing step lays both edges,
+        so both ends get the same set.
+
+        No end has a full fan: each joined the path open (a candidate is
+        open or fresh, and a face begins at an arc end of the active
+        vertex), and while the face is open no other face changes and it
+        puts no corner at an end of its path."""
         path = self.fpath[fid]
         last, first = path[-1], path[0]
         sat = self.saturated
@@ -649,8 +642,7 @@ class _Search:
             both = self.open.difference(path, sat[last], sat[first])
             if fresh:
                 both.add(fresh)
-            cc, d = self.corner_count, self.d
-            return (both if cc[first] < d else set()), (both if cc[last] < d else set())
+            return both, both
         tail = self.open.difference(path, sat[last])
         head = self.open.difference(path, sat[first])
         if fresh:
@@ -709,13 +701,14 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
     copy of a class is kept, and it carries its scan: it misses the class
     table _classes (see _class_code), which scans it, while a later copy
     is a hit and is dropped unscanned.  A first_only search, which keeps a
-    single map, scans it and leaves the table alone."""
+    single map, scans it and leaves the table alone.
+
+    Only the label count is tested.  find_slot reports a completion only
+    when the last face is closed and no fan is open; once all n fans are
+    closed on the type cycle, each size q has exactly n*m_q/q faces, so
+    every face budget is spent."""
     stats.completions += 1
-    if (
-        st.labels_used != st.n
-        or any(st.budget.values())
-        or any(len(p) < s for p, s in zip(st.fpath, st.fsize))
-    ):
+    if st.labels_used != st.n:
         stats.rejected_wrong_size += 1
         return False
     m = build_from_faces(FaceListMap(st.n, st.fpath))
@@ -759,7 +752,8 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     """
     nodes = 0
     pruned = 0
-    mark0 = st.mark()
+    journal = st.journal
+    mark0 = len(journal)
     try:
         for idx in prefix:
             kind, a, b, cands = st.find_slot()
@@ -772,7 +766,7 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
         # slot, whether it starts a new face, the journal mark before its
         # children, the index of its applied child]
         stack: list[list] = []
-        journal, start_face, append_vertex = st.journal, st._start_face, st._append_vertex
+        start_face, append_vertex = st._start_face, st._append_vertex
         while True:
             kind, a, b, cands = st.find_slot()  # the node the state stands at
             if kind == "complete":
@@ -785,9 +779,8 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                 if not start:
                     pruned += b  # the candidates find_slot rejected
                 if rng is not None:
-                    cands = list(cands)
-                    rng.shuffle(cands)
-                stack.append([enumerate(cands), a, b, start, st.mark(), 0])
+                    rng.shuffle(cands)  # a list find_slot made for this node
+                stack.append([enumerate(cands), a, b, start, len(journal), 0])
             # apply the next child of the deepest open node, closing the
             # nodes that have none left
             while stack:
@@ -821,13 +814,6 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             stats.prunes["constraint"] = stats.prunes.get("constraint", 0) + pruned
 
 
-def _fresh_search(cycle: tuple[int, ...], n: int, budgets: dict[int, int],
-                  pair_prune: bool, fresh_first: bool = False) -> _Search:
-    st = _Search(cycle, n, budgets, pair_prune, fresh_first)
-    st.seed()
-    return st
-
-
 def _expand_frontier(st: _Search, collector: dict, stats: EnumerationStats) -> list:
     """Iteratively deepen until at least _SPLIT_TARGET subtree roots exist
     (or the whole tree fits above the split depth).  Completions found above
@@ -852,7 +838,7 @@ def _run_path(task) -> tuple:
     params, quota, seed, first_only, path = task
     rng = None if seed is None else random.Random(seed)
     found, stats = {}, EnumerationStats()
-    finished = _run(_fresh_search(*params), stats, found, prefix=path,
+    finished = _run(_Search(*params), stats, found, prefix=path,
                     node_quota=quota, rng=rng, first_only=first_only)
     return found, stats, finished
 
@@ -947,10 +933,13 @@ def _diagnostic(spec: VertexTypeSpec, n: int, chi: int) -> Optional[str]:
     """Why no map of this type with n vertices can exist on chi, or None:
     the one place a search decides the order-free rules.  When it returns
     None the root star assembles (see _Search.seed).  A vertex count that
-    is not an int (a float, a bool) or is below 1 counts no map at all and
-    raises InconsistentParametersError."""
+    is not an int (a float, a bool) or is below 1, or an Euler
+    characteristic that is not an int, counts no map at all and raises
+    InconsistentParametersError."""
     if type(n) is not int:
         raise InconsistentParametersError(f"vertex count must be an int, got {n!r}")
+    if type(chi) is not int:
+        raise InconsistentParametersError(f"Euler characteristic must be an int, got {chi!r}")
     if n < 1:
         raise InconsistentParametersError(f"vertex count must be positive, got {n}")
     d = spec.degree
@@ -1015,7 +1004,7 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
             _keep_first(collector, saved_maps)
             stats.merge(saved_stats)
         else:
-            queue = _expand_frontier(_fresh_search(*params), collector, stats) if split else [()]
+            queue = _expand_frontier(_Search(*params), collector, stats) if split else [()]
         quota = opts.node_budget
         if quota is not None and split:
             quota = max(1, quota // max(1, len(queue)))
@@ -1059,8 +1048,9 @@ def enumerate_maps(t, n: int, chi: int, opts: EnumOptions | None = None) -> Enum
     the diagnostic (no such map can exist).  complete=False only when a node
     budget was exhausted.  Each map is the first completion of its class
     that the search validated, and it carries its canonical scan (see
-    EnumerationResult).  A vertex count that is not an int or is below 1
-    raises InconsistentParametersError.
+    EnumerationResult).  A vertex count that is not an int or is below 1,
+    or an Euler characteristic that is not an int, raises
+    InconsistentParametersError.
     """
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
@@ -1084,8 +1074,8 @@ def exists_any(t, n: int, chi: int, opts: EnumOptions | None = None) -> Optional
     threads and checkpoint_path are not used.  Honors the node budget by
     raising nothing and returning None (check the result of enumerate_maps
     for budget diagnostics when that distinction matters).  Raises
-    InconsistentParametersError when n is not an int or n < 1, as
-    enumerate_maps does."""
+    InconsistentParametersError when n is not an int or n < 1, or chi is
+    not an int, as enumerate_maps does."""
     opts = opts or EnumOptions()
     spec = _normalize_type(t)
     collector: dict = {}

@@ -18,7 +18,9 @@ links, face-cycle types) read the counts, the fans and the face tuples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .typecalc import VertexTypeSpec, normalize_cycle
@@ -215,14 +217,14 @@ def build_from_faces(flm: FaceListMap) -> CombMap:
             s1[2 * s + 1] = 2 * nxt
             s1[2 * nxt] = 2 * s + 1
 
-    for key, (sa, sb) in edge_slots.items():
-        for side_a in (0, 1):
-            fa = 2 * sa + side_a
-            for side_b in (0, 1):
-                fb = 2 * sb + side_b
-                if vertex_of[fa] == vertex_of[fb]:
-                    s2[fa], s2[fb] = fb, fa
-                    break
+    # s2 pairs the flags of an edge's two sides that sit at the same vertex:
+    # the first flags of the sides match, or each matches the other's second
+    for sa, sb in edge_slots.values():
+        fa, fb = 2 * sa, 2 * sb
+        if vertex_of[fa] != vertex_of[fb]:
+            fb += 1
+        s2[fa], s2[fb] = fb, fa
+        s2[fa ^ 1], s2[fb ^ 1] = fb ^ 1, fa ^ 1
 
     # one walk of the flag graph checks that it is connected and 2-colours
     # the flags: the surface is orientable exactly when s0, s1 and s2 all
@@ -351,30 +353,29 @@ def validate_polyhedral(m: CombMap) -> PolyhedralityReport:
     w on the link once).  With no common edge, F and G share the two
     vertices v and w; with one, it is not vw, so its ends and v, w make a
     third common vertex; otherwise they share two edges.  Each case is a
-    big-face-intersection entry.
+    big-face-intersection entry, listed by face pair in ascending order.
+
+    One pass over the builder's fans counts what each meeting pair shares.
+    A face has one corner at each of its vertices, so faces i and j share v
+    exactly when both are in v's fan; an edge's two sides lie on distinct
+    faces, and each edge i and j share is the fan junction between them at
+    both of its ends, so it is counted twice.
     """
+    verts: Counter = Counter()
+    junctions: Counter = Counter()
+    for fan, _ in m._fans:
+        verts.update(combinations(sorted(fan), 2))
+        # a junction sits between two consecutive faces of the fan
+        junctions.update((f, g) if f < g else (g, f) for f, g in zip(fan, fan[1:] + fan[:1]))
     violations: list[tuple[str, tuple]] = []
-    face_sets = [frozenset(f) for f in m.faces]
-    face_edges = []
-    for f in m.faces:
-        k = len(f)
-        es = set()
-        for i in range(k):
-            a, b = f[i], f[(i + 1) % k]
-            es.add((a, b) if a < b else (b, a))
-        face_edges.append(es)
-    nf = len(m.faces)
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            shared_e = face_edges[i] & face_edges[j]
-            if len(shared_e) > 1:
-                violations.append(("big-face-intersection", (i, j, "edges", len(shared_e))))
-            elif len(shared_e) == 1:
-                if len(face_sets[i] & face_sets[j]) > 2:
-                    violations.append(("big-face-intersection", (i, j, "vertices-beyond-edge",)))
-            else:
-                if len(face_sets[i] & face_sets[j]) > 1:
-                    violations.append(("big-face-intersection", (i, j, "vertices", len(face_sets[i] & face_sets[j]))))
+    for (i, j), nv in sorted(verts.items()):
+        ne = junctions[i, j] >> 1
+        if ne > 1:
+            violations.append(("big-face-intersection", (i, j, "edges", ne)))
+        elif ne == 1 and nv > 2:
+            violations.append(("big-face-intersection", (i, j, "vertices-beyond-edge")))
+        elif not ne and nv > 1:
+            violations.append(("big-face-intersection", (i, j, "vertices", nv)))
     return PolyhedralityReport(ok=not violations, violations=tuple(violations))
 
 

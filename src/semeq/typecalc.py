@@ -68,13 +68,9 @@ def normalize_cycle(raw: Iterable[int]) -> tuple[int, ...]:
         raise DegreeTooSmall(f"vertex degree must be >= 3, got {len(cyc)}")
     if any(p < 3 for p in cyc):
         raise SizeTooSmall(f"face sizes must be >= 3, got {min(cyc)}")
-    best = None
-    for seq in (cyc, cyc[::-1]):
-        for r in range(len(seq)):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    k = len(cyc)
+    # every rotation is a window of the doubled sequence
+    return min([s[r:r + k] for s in (cyc * 2, cyc[::-1] * 2) for r in range(k)])
 
 
 def _run_lengths(cyc: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -128,10 +124,7 @@ class VertexTypeSpec:
         return out
 
     def __str__(self) -> str:
-        parts = []
-        for p, n in self.runs:
-            parts.append(f"{p}^{n}" if n > 1 else f"{p}^1")
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(f"{p}^{n}" for p, n in self.runs) + "]"
 
 
 def parse_type(text: str) -> VertexTypeSpec:
@@ -371,11 +364,19 @@ def admissible_types(chi: int, opts: FilterOptions | None = None) -> list[Admiss
     among them (the degree gap in ROADMAP.md).  Only the survivors of
     _multiset_survivors, which decides every order-free rule, are arranged,
     and each arrangement is put through the parity rules alone.  Results are
-    sorted by (degree, n, cycle), one per canonical cycle.
+    sorted by (degree, n, cycle), one per canonical cycle.  A chi,
+    min_vertices or min_face_count that is not an int (a float, a bool)
+    raises ValueError.
     """
-    if chi >= 0:
-        raise ValueError("admissible_types requires chi < 0 (degree bound d <= 6)")
     opts = opts or FilterOptions()
+    for name, value in (("chi", chi), ("min_vertices", opts.min_vertices),
+                        ("min_face_count", opts.min_face_count)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if chi >= 0:
+        # flat types such as [3^6] fit every n on chi = 0, prisms [4^2,p] n = chi*p
+        raise ValueError("admissible_types requires chi < 0: for chi >= 0 the Euler "
+                         "arithmetic admits infinitely many pairs")
     if opts.min_vertices < 1:
         raise ValueError(f"min_vertices must be >= 1, got {opts.min_vertices}")
     applied = ["euler", "integral-face-counts", f"min-vertices>={opts.min_vertices}"]

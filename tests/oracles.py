@@ -117,6 +117,27 @@ def polyhedral_two_part(m) -> bool:
     return not disc_star_failures(m)
 
 
+def polyhedral_violations_all_pairs(m) -> tuple:
+    """Oracle for validate_polyhedral(m).violations: every pair of faces
+    i < j in order, each face's vertex set and edge set built on its own
+    and intersected with every other's."""
+    face_sets = [set(f) for f in m.faces]
+    edge_sets = [{frozenset((f[i - 1], f[i])) for i in range(len(f))} for f in m.faces]
+    out = []
+    for i in range(len(m.faces)):
+        for j in range(i + 1, len(m.faces)):
+            shared_e = len(edge_sets[i] & edge_sets[j])
+            shared_v = len(face_sets[i] & face_sets[j])
+            if shared_e > 1:
+                out.append(("big-face-intersection", (i, j, "edges", shared_e)))
+            elif shared_e == 1:
+                if shared_v > 2:
+                    out.append(("big-face-intersection", (i, j, "vertices-beyond-edge")))
+            elif shared_v > 1:
+                out.append(("big-face-intersection", (i, j, "vertices", shared_v)))
+    return tuple(out)
+
+
 def gi_buckets_pairwise(m) -> dict[int, list[tuple[int, int]]]:
     """Oracle for the G_i graphs: every vertex pair a < b in label order,
     bucketed by |L(a) & L(b)|, where L(v) is the vertex set of v's link

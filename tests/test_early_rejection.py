@@ -22,15 +22,18 @@ no arc of the fan; where that verdict is False, every child ends an arc.
 Each undo must restore the whole search state, journal length included.
 At every node it checks the facts the kernel reads instead of storing: only
 the last face can be open, a fan is closed exactly when it has d corners,
-and under the pair prune no two faces share two edges.  The oracle reads
-closedness from path lengths and tests words against the type cycle itself,
-not against the kernel's tables.
+and under the pair prune no two faces share two edges.  It also checks the
+facts that spare the kernel a test: at a closing node neither end of the
+open face has a full fan, and at a completion the last face is closed and
+all n labels are taken exactly when every face budget is spent.  The
+oracle reads closedness from path lengths and tests words against the type
+cycle itself, not against the kernel's tables.
 """
 
 import pytest
 
 from oracles import validate_vertex
-from semeq.enumerator import EnumOptions, _fresh_search, enumerate_maps
+from semeq.enumerator import EnumOptions, _Search, enumerate_maps
 from semeq.typecalc import face_counts, parse_type
 
 
@@ -313,11 +316,6 @@ def _candidates(st, fid, edges):
     if st.labels_used < st.n:
         for out in (tail, head):
             out.insert(0 if st.fresh_first else len(out), st.labels_used + 1)
-    if closing:
-        if st.corner_count[first] >= st.d:
-            tail = []
-        if st.corner_count[last] >= st.d:
-            head = []
     return tail, head
 
 
@@ -352,14 +350,13 @@ def _walk(st, tally):
     """The search tree of _run, checking every candidate at both ends of the
     open face, the children find_slot keeps, the candidate sets, the edge
     table and the vertex tables of the faces, the saturated sets, the
-    open-label set, the state each undo restores and the facts the kernel
-    reads instead of storing.  The tables are checked after every step
-    applied, rejected or not, and after every undo."""
+    open-label set, the state each undo restores, the facts the kernel
+    reads instead of storing and those that spare it a test.  The tables
+    are checked after every step applied, rejected or not, and after every
+    undo."""
     assert _invariants_ok(st), st.fpath
-    nf = len(st.fsize)
-    extending = nf > 0 and len(st.fpath[-1]) < st.fsize[-1]
-    if extending:
-        fid = nf - 1
+    if len(st.fpath[-1]) < st.fsize[-1]:  # a seeded state always has faces
+        fid = len(st.fsize) - 1
         edges = _edge_map(st)
         raw = st.extend_candidates(fid)
         ordered = _candidates(st, fid, edges)
@@ -368,11 +365,19 @@ def _walk(st, tally):
                    for at_head, cands in enumerate(ordered)]
         before = list(st.fpath[fid])
         closing = len(before) + 1 == st.fsize[fid]
+        if closing:
+            # extend_candidates gives both ends their candidates untested
+            assert st.corner_count[before[0]] < st.d, st.fpath
+            assert st.corner_count[before[-1]] < st.d, st.fpath
         if closing and raw[0] and raw[1]:
             # a closing step lays both edges: the same verdicts at either end
             assert set(passing[0]) == set(passing[1]), st.fpath
     slot = st.find_slot()
     if slot[0] == "complete":
+        # _on_complete tests the label count alone
+        assert len(st.fpath[-1]) == st.fsize[-1], st.fpath
+        assert (st.labels_used == st.n) == (not any(st.budget.values())), st.fpath
+        tally["short"] += st.labels_used != st.n
         return
     if slot[0] == "extend":
         _, fid, rejected, kids = slot
@@ -396,7 +401,7 @@ def _walk(st, tally):
         tally["early"] += rejected
         tally["switched"] += chosen != first
         for y in kids:
-            m = st.mark()
+            m = len(st.journal)
             before_step = _snapshot(st)
             ok = st._append_vertex(fid, y)
             assert _tables_ok(st), st.fpath
@@ -411,7 +416,7 @@ def _walk(st, tally):
     else:
         _, v, x, sizes = slot
         for s in sizes:
-            m = st.mark()
+            m = len(st.journal)
             before_step = _snapshot(st)
             ok = st._start_face(s, x, v)
             assert _tables_ok(st), st.fpath
@@ -431,6 +436,7 @@ ROWS = [
     ("[4^3]", 8, 2),
     ("[3,4,3,4]", 12, 2),
     ("[3^5,4^1]", 12, -1),
+    ("[3^6]", 9, 0),  # 5 of its 21 completions take fewer than 9 labels
 ]
 
 
@@ -449,12 +455,13 @@ def test_early_rejection_matches_full_step_with_pair_prune():
 
 def _check_walk(tstr, n, chi, pair_prune):
     spec = parse_type(tstr)
-    st = _fresh_search(spec.cycle, n, face_counts(spec, n), pair_prune)
-    tally = {"nodes": 0, "early": 0, "late": 0, "switched": 0}
+    st = _Search(spec.cycle, n, face_counts(spec, n), pair_prune)
+    tally = {"nodes": 0, "early": 0, "late": 0, "switched": 0, "short": 0}
     assert _tables_ok(st)
     _walk(st, tally)
     stats = enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=not pair_prune)).stats
     assert tally["nodes"] == stats.nodes
     assert tally["early"] + tally["late"] == stats.prunes.get("constraint", 0)
+    assert tally["short"] == stats.rejected_wrong_size
     if stats.nodes > 1000:
         assert tally["early"] > 0 and tally["late"] > 0 and tally["switched"] > 0

@@ -18,7 +18,6 @@ from semeq.enumerator import (
     _checkpoint_bytes,
     _checkpoint_parse,
     _diagnostic,
-    _fresh_search,
     _Search,
     enumerate_maps,
     exists_any,
@@ -126,6 +125,13 @@ def test_non_int_vertex_count_refused(search, n):
         search("[3^3]", n, 2)
 
 
+@pytest.mark.parametrize("search", [enumerate_maps, exists_any])
+@pytest.mark.parametrize("chi", [-1.0, True])
+def test_non_int_euler_characteristic_refused(search, chi):
+    with pytest.raises(InconsistentParametersError, match="Euler characteristic must be an int"):
+        search("[3^5,4^1]", 12, chi)
+
+
 def test_inconsistent_parameters_diagnosed():
     r = enumerate_maps("[4^3]", 9, 2)
     assert r.complete and not r.maps and r.diagnostic
@@ -166,13 +172,14 @@ def _diagnosed_rows(max_degree, max_size, max_n):
 
 
 def test_root_star_assembles_whenever_diagnostic_passes():
-    # _Search.seed decides no rule: with and without the pair prune, every
-    # row that _diagnostic lets through gets its full root star
+    # _Search.seed, which the constructor runs, decides no rule: with and
+    # without the pair prune, every row that _diagnostic lets through gets
+    # its full root star
     rows = list(_diagnosed_rows(6, 12, 120))
     assert len(rows) == 47550
     for cyc, n, xs in rows:
         for pair_prune in (True, False):
-            st = _fresh_search(cyc, n, xs, pair_prune)
+            st = _Search(cyc, n, xs, pair_prune)
             assert st.corner_count[1] == st.d, (cyc, n, pair_prune)
 
 
@@ -225,6 +232,27 @@ def test_checkpoint_round_trip(tmp_path, census_35_4):
     # resuming a finished run returns the same maps byte-for-byte
     r2 = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
     assert r2.codes == r.codes
+
+
+def test_pathlib_checkpoint_path_resumes(tmp_path, census_35_4):
+    # a pathlib.Path is stored as its str; a cut run saves, and resumes,
+    # exactly as the same run given the str
+    cuts = []
+    for path in (str(tmp_path / "s.ckpt"), tmp_path / "p.ckpt"):
+        opts = EnumOptions(checkpoint_path=path, node_budget=2000)
+        assert opts.checkpoint_path == str(path)
+        assert not enumerate_maps("[3^5,4^1]", 12, -1, opts).complete
+        with open(path, "rb") as fh:
+            cuts.append(fh.read())
+        resumed = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+        assert resumed.complete and resumed.codes == census_35_4.codes
+    assert cuts[0] == cuts[1]
+
+
+@pytest.mark.parametrize("path", [b"ck.bin", 7])
+def test_non_str_checkpoint_path_rejected(path):
+    with pytest.raises(ValueError, match="checkpoint_path must be a str"):
+        EnumOptions(checkpoint_path=path)
 
 
 def test_checkpoint_wrong_params_rejected(tmp_path):
@@ -438,7 +466,7 @@ def _first_path(tstr, n, target):
     "leaf"), or to the first child whose step is rejected once applied: a
     new face ("start") or a step that closes the open face ("closing")."""
     spec = parse_type(tstr)
-    st = _fresh_search(spec.cycle, n, face_counts(spec, n), True)
+    st = _Search(spec.cycle, n, face_counts(spec, n), True)
 
     def dfs():
         kind, a, b, cands = st.find_slot()
@@ -447,7 +475,7 @@ def _first_path(tstr, n, target):
         step = kind if kind == "start" else (
             "closing" if len(st.fpath[a]) + 1 == st.fsize[a] else "extend")
         for idx, cand in enumerate(cands):
-            mark = st.mark()
+            mark = len(st.journal)
             ok = st._start_face(cand, b, a) if kind == "start" else st._append_vertex(a, cand)
             rest = dfs() if ok else (() if step == target else None)
             st.undo_to(mark)

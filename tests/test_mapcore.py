@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import BIPYRAMID, CUBE, DOUBLED_TRIANGLE, ICOSAHEDRON, TETRAHEDRON
-from oracles import disc_star_failures, polyhedral_two_part
+from oracles import disc_star_failures, polyhedral_two_part, polyhedral_violations_all_pairs
 
 from semeq import enumerator
 from semeq.enumerator import EnumOptions, enumerate_maps
@@ -103,7 +103,9 @@ def test_vertices_beyond_edge_witness():
 
 def test_face_pair_test_decides_polyhedrality(monkeypatch):
     # the completions that disable_pair_prune searches reject as
-    # non-polyhedral, each of which also fails the disc-star rule
+    # non-polyhedral, each of which also fails the disc-star rule, with the
+    # doubled triangle, K5 on the torus and the fixtures with their
+    # truncations and rectifications
     rejected = []
 
     def recording(m):
@@ -123,6 +125,8 @@ def test_face_pair_test_decides_polyhedrality(monkeypatch):
         maps += [m, truncate(m), rectify(m)]
     for m in maps:
         report = validate_polyhedral(m)
+        # the fan count gives every entry of the all-pairs test, in order
+        assert report.violations == polyhedral_violations_all_pairs(m)
         assert report.ok == polyhedral_two_part(m)
         if disc_star_failures(m):
             assert any(kind == "big-face-intersection" for kind, _ in report.violations)

@@ -160,6 +160,26 @@ def test_admissible_rejects_chi_zero():
         admissible_types(-1, FilterOptions(min_vertices=0))
 
 
+@pytest.mark.parametrize("chi,opts,name", [
+    (-1.5, None, "chi"),
+    (-1.0, None, "chi"),
+    (True, None, "chi"),
+    (-1, FilterOptions(min_vertices=7.5), "min_vertices"),
+    (-1, FilterOptions(min_face_count=2.5), "min_face_count"),
+])
+def test_admissible_rejects_non_int_arguments(chi, opts, name):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        admissible_types(chi, opts)
+
+
+@pytest.mark.parametrize("chi", [0, 2])
+def test_admissible_chi_nonnegative_message(chi):
+    # the arithmetic admits infinitely many pairs for chi >= 0, whatever
+    # the degree bound
+    with pytest.raises(ValueError, match="infinitely many pairs"):
+        admissible_types(chi)
+
+
 def test_admissible_exact_euler_identity():
     for p in admissible_types(-1):
         d = p.type.degree
