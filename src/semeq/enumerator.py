@@ -30,9 +30,9 @@ its open arcs (see _Search), so a fan check is a few lookups with no walk
 around the fan (see _passing), and the raw candidates of an end are built
 by set operations (see extend_candidates).  Every prune is a necessary
 condition (edge used by at most two faces, the polyhedral face-intersection
-rules, partial fans embedding into the type cycle, face and label budgets),
-hence the search is exhaustive: it visits a superset of every map of the
-requested type, and each surviving completion is checked again by the full
+rules, partial fans embedding into the type cycle, corner quotas), hence
+the search is exhaustive: it visits a superset of every map of the requested
+type, and each surviving completion is checked again by the full
 polyhedrality validator before being emitted.
 """
 
@@ -60,7 +60,7 @@ __all__ = [
     "exists_any",
 ]
 
-_CKPT_FORMAT = "semeq-checkpoint/3"
+_CKPT_FORMAT = "semeq-checkpoint/4"
 _SPLIT_TARGET = 64  # subtree roots a split run deepens the frontier to
 _SAVE_EVERY_S = 1.0  # least seconds between checkpoint rewrites mid-run
 
@@ -74,7 +74,7 @@ class InconsistentParametersError(ValueError):
 
 
 class CorruptCheckpointError(ValueError):
-    """Checkpoint is not a format-3 JSON document of the expected layout, was
+    """Checkpoint is not a format-4 JSON document of the expected layout, was
     written for other parameters, holds a face list that does not build into
     a polyhedral map of the type, records a subtree path the search does
     not have, or records one subtree twice."""
@@ -210,19 +210,29 @@ class _Search:
     type cycle, read in either direction, one character per size; a word of
     at most d sizes embeds in the cycle exactly when it is in the set.
 
+    ``lacks[q][y]`` counts the q-corners label y still lacks of the m_q
+    that every vertex of the type has (m_q the multiplicity of q in the
+    cycle).  Each label of a face gets a corner of it, and a face takes
+    only labels that lack a corner of its size, so no label exceeds its
+    quota.  Counting corners then bounds the faces: once all x_q = n*m_q/q
+    q-gons are closed, every label 1..n has its m_q q-corners, so no label
+    lacks one, no further q-gon is begun, and no closing step needs a
+    check once applied.
+
     Some facts are read, not stored.  A face is closed exactly when its
     path holds fsize vertices, since _append_vertex closes it in the step
     that fills the path, and only the last face can be open.  A fan is
     closed exactly when it has d corners, since the fan test (_fan_facts)
-    refuses a d-th corner that does not close the cycle.  The multiplicity
-    of a size in the type is counted in ``cycle`` when a size runs out.
+    refuses a d-th corner that does not close the cycle.
 
     find_slot gives the next node as ("extend", fid, rejected, children),
     ("start", v, x, sizes) or ("complete", None, None, ()).  The children of
     an extension node are the candidate labels that pass at the chosen end
     of the open face, in branching order, with that end turned last in the
-    path (a journaled reversal); rejected counts the candidates of that
-    end that failed, raw count less children.  One loop (_passing) tests
+    path (a journaled reversal), less the labels that lack no corner of the
+    face's size; rejected counts the candidates of that end that were
+    dropped, raw count less children.  The sizes of a start node are those
+    whose face both v and x lack a corner of.  One loop (_passing) tests
     every candidate of an end, and one rule (_fan_facts) decides every fan
     it tests.  A step lays each edge with _put_edge, the only edge writer,
     and each corner with _put_corner, which writes a copy of the vertex's
@@ -239,8 +249,8 @@ class _Search:
     bit of fmask[fid] and appends fid to vfaces[y].
     """
 
-    def __init__(self, cycle: tuple[int, ...], n: int, budgets: dict[int, int],
-                 pair_prune: bool = True, fresh_first: bool = False):
+    def __init__(self, cycle: tuple[int, ...], n: int, pair_prune: bool = True,
+                 fresh_first: bool = False):
         self.cycle = cycle
         self.d = len(cycle)
         self.n = n
@@ -259,8 +269,8 @@ class _Search:
         self.saturated: list[set[int]] = [set() for _ in range(n + 1)]
         self.fmask: list[int] = []
         self.vfaces: list[list[int]] = [[] for _ in range(n + 1)]
-        self.budget = dict(budgets)
-        self.sizes_sorted = sorted(budgets)
+        self.sizes_sorted = sorted(chars)
+        self.lacks = {s: [cycle.count(s)] * (n + 1) for s in chars}
         self.corner_count = [0] * (n + 1)
         self.ends: list[dict[int, tuple[int, str]]] = [dict() for _ in range(n + 1)]
         self.labels_used = 0
@@ -288,16 +298,18 @@ class _Search:
             fid, y = op[1], op[2]
             vfaces[y].pop()
             if tag == 1:  # face fid begun at y, its only vertex
-                self.budget[self.fsize.pop()] += 1
+                self.fsize.pop()
                 fpath.pop()
                 fmask.pop()
             else:  # face fid extended by y
                 fmask[fid] ^= 1 << y
                 fpath[fid].pop()
+                lacks = self.lacks[self.fsize[fid]]
                 for v, arcs in op[5]:
                     if cc[v] == self.d:
                         self.open.add(v)
                     cc[v] -= 1
+                    lacks[v] += 1
                     all_ends[v] = arcs
                 for key in op[4]:
                     lst = ef[key]
@@ -338,12 +350,10 @@ class _Search:
 
     def _passing(self, fid: int, raw: set, limit: int) -> list:
         """The labels of raw, in branching order, whose extension of the
-        open face fid passes the checks of the step that the current state
-        decides, stopping once limit of them pass.  Mutates nothing; the
-        size supply, which needs the closed face, is checked in
-        _append_vertex once a closing step is applied.  Branching order is
-        ascending, with the fresh label (the largest) first under
-        fresh_first.
+        open face fid passes the checks of the step, stopping once limit of
+        them pass.  Mutates nothing, and tests no corner quota: find_slot
+        applies that to the end it chose.  Branching order is ascending,
+        with the fresh label (the largest) first under fresh_first.
 
         One loop tests each label: the fan at v (the path's last vertex)
         with its new corner, the face pairs meeting at y, then either the
@@ -448,20 +458,6 @@ class _Search:
                 break
         return out
 
-    def _size_supply_ok(self, s: int) -> bool:
-        """No s-faces remain (budget spent, none open): every vertex must
-        already own its full quota of s-corners, and no vertex can still be
-        missing.  A fan with d corners is closed and owns its quota; the
-        quota is the number of times s occurs in the type cycle."""
-        if self.labels_used < self.n:
-            return False
-        # an open fan's corners are those of its arcs, each arc listed at
-        # both of its ends
-        need = 2 * self.cycle.count(s)
-        ch = self.size_char[s]
-        return all(sum(word.count(ch) for _, word in self.ends[v].values()) >= need
-                   for v in self.open)
-
     # -- mutators (the checks above have passed) --------------------------
     #
     # _put_edge and _put_corner return their undo data, and the step that
@@ -480,15 +476,17 @@ class _Search:
 
     def _put_corner(self, v: int, fid: int, a: int, b: int) -> tuple:
         """Add the corner of fid at v between neighbours a and b, joining the
-        arcs that end at a and at b, in a copy of v's arc table; v leaves
-        the open labels with its d-th corner.  Returns (v, the replaced
-        table), which undo_to puts back."""
+        arcs that end at a and at b, in a copy of v's arc table; v lacks one
+        corner of fid's size less, and leaves the open labels with its d-th
+        corner.  Returns (v, the replaced table), which undo_to puts back."""
         old = self.ends[v]
         ends = self.ends[v] = old.copy()
-        c = self.size_char[self.fsize[fid]]
+        size = self.fsize[fid]
+        c = self.size_char[size]
         arc_a = ends.pop(a, None)
         arc_b = ends.pop(b, None)
         self.corner_count[v] += 1
+        self.lacks[size][v] -= 1
         if arc_a is not None and arc_a[0] == b:
             # the last arc closes into the full fan cycle
             self.open.remove(v)
@@ -505,27 +503,31 @@ class _Search:
             ends[end_b] = (end_a, back_b + c + back_a)
         return v, old
 
-    def _start_face(self, size: int, x: int, v: int) -> bool:
-        """Begin a face of the given size on edge {x, v}: open it at x (one
-        journal record), then extend it by v.  Applied before it is checked;
-        the caller unwinds on False."""
+    def _start_face(self, size: int, x: int, *path: int) -> bool:
+        """Begin a face of the given size at x (one journal record), then
+        extend it by each label of path in turn that passes _passing: one,
+        v, at a start node, the whole face in the root star.  Applied before
+        it is checked; the caller unwinds on False."""
         fid = len(self.fsize)
-        self.budget[size] -= 1
         self.fsize.append(size)
         self.fpath.append([x])
         self.fmask.append(1 << x)
         self.vfaces[x].append(fid)
         self.journal.append((1, fid, x))
-        return bool(self._passing(fid, {v}, 1)) and self._append_vertex(fid, v)
+        for y in path:
+            if not self._passing(fid, {y}, 1):
+                return False
+            self._append_vertex(fid, y)
+        return True
 
-    def _append_vertex(self, fid: int, y: int) -> bool:
-        """Extend face fid by y, a step that passed _passing, and journal
-        it as one record; y is fresh when it is the next unused label.  The
-        step lays the edge {v, y} and records that fid now contains y, in
-        fmask and vfaces.  A step that fills the path also closes the face
-        along edge {y, first}, and then the size supply is checked on the
-        closed state: only such a step can still fail, and the caller
-        unwinds it on False."""
+    def _append_vertex(self, fid: int, y: int) -> None:
+        """Extend face fid by y, a child find_slot gave (it passed _passing
+        and lacks a corner of fid's size), and journal it as one record; y
+        is fresh when it is the next unused label.  The step lays the edge
+        {v, y} and records that fid now contains y, in fmask and vfaces.  A
+        step that fills the path also closes the face along edge {y, first}.
+        No step fails once applied: closing the last q-gon leaves every
+        label 1..n with its m_q q-corners (see _Search)."""
         fresh = y > self.labels_used
         if fresh:
             self.labels_used = y
@@ -537,25 +539,21 @@ class _Search:
         self.vfaces[y].append(fid)
         corners = (self._put_corner(v, fid, path[-2], y),) if len(path) > 1 else ()
         path.append(y)
-        size = self.fsize[fid]
-        if len(path) < size:
-            self.journal.append((0, fid, y, fresh, (key,), corners))
-            return True
-        first = path[0]
-        keys = (key, self._put_edge(y, first, fid))
-        corners += (self._put_corner(y, fid, v, first), self._put_corner(first, fid, y, path[1]))
-        # journaled before the check: the caller unwinds a failing close
+        keys = (key,)
+        if len(path) == self.fsize[fid]:  # the step closes the face
+            first = path[0]
+            keys += (self._put_edge(y, first, fid),)
+            corners += (self._put_corner(y, fid, v, first), self._put_corner(first, fid, y, path[1]))
         self.journal.append((0, fid, y, fresh, keys, corners))
-        return self.budget[size] > 0 or self._size_supply_ok(size)
 
     # -- seeding -----------------------------------------------------------
 
     def seed(self) -> None:
         """Fix the closed star of vertex 1 (run by __init__): fan = the type
         cycle in order, boundary labels 2.. in rotation order.  Decides no
-        rule: once _diagnostic passes, n >= closed star >= q + 1 for every
-        size q, so the star's labels are distinct and x_q = n*m_q/q > m_q.
-        A rejected step is a fault of the kernel, and raises."""
+        rule: once _diagnostic passes, n >= closed star, so its labels are
+        distinct, and a ring label gets one corner, or two beside a spoke:
+        within its quota.  A rejected step is a kernel fault, and raises."""
         star = 1 + sum(c - 2 for c in self.cycle)
         ring = list(range(2, star + 1))
         m = len(ring)
@@ -564,12 +562,7 @@ class _Search:
         self.open = set(range(1, star + 1))
         off = 0
         for size in self.cycle:
-            ok = self._start_face(size, 1, ring[off % m])
-            fid = len(self.fsize) - 1
-            for j in range(1, size - 1):
-                y = ring[(off + j) % m]
-                ok = ok and bool(self._passing(fid, {y}, 1)) and self._append_vertex(fid, y)
-            if not ok:
+            if not self._start_face(size, 1, *(ring[(off + j) % m] for j in range(size - 1))):
                 raise RuntimeError(f"root star step of a {size}-gon rejected for type "
                                    f"{self.cycle} with n={self.n}")
             off += size - 2
@@ -602,6 +595,9 @@ class _Search:
                     path.reverse()
             if flipped:
                 self.journal.append((7, fid))
+            # the corner quota, once the end is chosen: branch order stays
+            lacks = self.lacks[self.fsize[fid]]
+            kids = [y for y in kids if lacks[y]]
             return ("extend", fid, len(near) - len(kids), kids)
         # activate the open vertex with the fullest fan (ties to the lowest
         # label): nearly-closed fans propagate contradictions soonest
@@ -614,12 +610,12 @@ class _Search:
         if not v:
             return ("complete", None, None, ())
         # the new face goes at the lowest arc end; its size must extend the
-        # arc read from that end
+        # arc read from that end, and v and that end must lack its corner
         ends = self.ends[v]
         best_nbr = min(ends)
         word = ends[best_nbr][1]
-        sizes = [s for s in self.sizes_sorted
-                 if self.budget[s] > 0 and self.size_char[s] + word in self.words]
+        sizes = [s for s in self.sizes_sorted if self.lacks[s][v] and self.lacks[s][best_nbr]
+                 and self.size_char[s] + word in self.words]
         return ("start", v, best_nbr, sizes)
 
     def extend_candidates(self, fid: int) -> tuple[set, set]:
@@ -705,8 +701,7 @@ def _on_complete(st: _Search, stats: EnumerationStats, collector: dict,
 
     Only the label count is tested.  find_slot reports a completion only
     when the last face is closed and no fan is open; once all n fans are
-    closed on the type cycle, each size q has exactly n*m_q/q faces, so
-    every face budget is spent."""
+    closed on the type cycle, each size q has exactly n*m_q/q faces."""
     stats.completions += 1
     if st.labels_used != st.n:
         stats.rejected_wrong_size += 1
@@ -740,10 +735,10 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
     ran out, or ``first_only`` collected a map.
 
     find_slot filters an extension node's candidates: each candidate of the
-    chosen end that fails _passing counts one ``constraint`` prune when the
-    node is opened, and the children, the candidates that passed, are
-    applied untested.  A closing step still checks the size supply once
-    applied, and a new face is applied before it is checked; each step
+    chosen end that fails _passing or the corner quota counts one
+    ``constraint`` prune when the node is opened, and the children, the
+    candidates that passed, are applied untested and never fail.  A new
+    face is applied before its second vertex is checked; each face
     rejected there, and unwound, counts one ``constraint`` prune more.
 
     A loop over a stack, not a recursion: CPython allocates and frees a
@@ -759,8 +754,9 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
             kind, a, b, cands = st.find_slot()
             if idx >= len(cands):
                 raise CorruptCheckpointError("recorded branch index does not exist at replay")
-            if not (st._start_face(cands[idx], b, a) if kind == "start"
-                    else st._append_vertex(a, cands[idx])):
+            if kind != "start":
+                st._append_vertex(a, cands[idx])
+            elif not st._start_face(cands[idx], b, a):
                 raise CorruptCheckpointError("recorded branch is rejected at replay")
         # one entry per open node, root first: [children left, a, b of its
         # slot, whether it starts a new face, the journal mark before its
@@ -789,10 +785,12 @@ def _run(st: _Search, stats: EnumerationStats, collector: dict,
                 if len(journal) > m:  # not on a node just opened
                     st.undo_to(m)
                 for idx, cand in children:
-                    # a new face of size cand at vertex a, next to b; or
-                    # face a extended by the label cand
-                    ok = start_face(cand, b, a) if start else append_vertex(a, cand)
-                    if ok:
+                    # face a extended by the label cand, which passed; or a
+                    # new face of size cand at vertex a, next to b
+                    if not start:
+                        append_vertex(a, cand)
+                        break
+                    if start_face(cand, b, a):
                         break
                     pruned += 1
                     st.undo_to(m)
@@ -874,10 +872,11 @@ def _checkpoint_parse(blob: bytes, expected: Optional[dict] = None
                                      "longer read: start the run afresh")
     try:
         doc = json.loads(blob)
-        if doc["format"] == "semeq-checkpoint/2":
-            # its paths index raw candidate lists, not the passing children
-            raise CorruptCheckpointError("format-2 checkpoint is no longer read: "
-                                         "start the run afresh")
+        if doc["format"] in ("semeq-checkpoint/2", "semeq-checkpoint/3"):
+            # its paths index other children: the raw candidates (2), or the
+            # passing ones before the corner quota (3)
+            raise CorruptCheckpointError(f"format-{doc['format'][-1]} checkpoint is no "
+                                         f"longer read: start the run afresh")
         if doc["format"] != _CKPT_FORMAT:
             raise CorruptCheckpointError(f"unsupported checkpoint format {doc['format']!r}")
         header = doc["header"]
@@ -993,7 +992,7 @@ def _drive(spec: VertexTypeSpec, n: int, chi: int, opts: EnumOptions,
     try:
         split = opts.threads > 1 or opts.checkpoint_path is not None
         pair_prune = not opts.disable_pair_prune
-        params = (spec.cycle, n, face_counts(spec, n), pair_prune, opts.fresh_first)
+        params = (spec.cycle, n, pair_prune, opts.fresh_first)
         header = {"cycle": list(spec.cycle), "n": n, "chi": chi, "pair_prune": pair_prune}
         if opts.checkpoint_path and os.path.exists(opts.checkpoint_path):
             with open(opts.checkpoint_path, "rb") as fh:

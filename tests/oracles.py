@@ -205,3 +205,29 @@ def validate_vertex(st, v: int, a: int, b: int, c: str) -> bool:
     if count == d or d - count < arcs:
         return False
     return word in st.words
+
+
+def size_corners(st) -> dict[int, list[int]]:
+    """The corner-quota rule written out on its own: for each face size q
+    of the search state st, the number of q-corners at each label 0..n,
+    counted from the face paths.  A closed face (its path holds fsize
+    vertices) has a corner at each of its vertices; the open one has one
+    at each inner vertex of its path, and its ends get theirs later.  In a
+    map of the type every vertex has as many q-corners as q occurs in the
+    type cycle."""
+    out = {q: [0] * (st.n + 1) for q in set(st.cycle)}
+    for path, q in zip(st.fpath, st.fsize):
+        for y in path if len(path) == q else path[1:-1]:
+            out[q][y] += 1
+    return out
+
+
+def size_supply_holds(st, q) -> bool:
+    """The size supply after a step of the search state st that closed a
+    q-gon: it holds while q-gons are left to place, and once all n*m_q/q
+    are closed it needs all n labels taken, each with its m_q q-corners
+    (counted by size_corners)."""
+    m_q = st.cycle.count(q)
+    if st.fsize.count(q) * q < st.n * m_q:
+        return True
+    return st.labels_used == st.n and size_corners(st)[q][1:] == [m_q] * st.n

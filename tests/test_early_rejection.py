@@ -8,33 +8,46 @@ hold every candidate at both ends against an oracle that appends the vertex
 to a copy of the face paths and re-derives, from the paths alone, each check
 the step made when it was applied before being checked: edge loads,
 adjacent-size words, the face-pair intersection rules and, corner by
-corner, the fans that get a new corner.  Only the check that needs the
-closed face, the size supply, is left to the applied step.  The walk also
-holds the kernel's shortcuts against plain derivations: the children of
-each node against the passing candidates of both ends, taken in branching
-order, the candidate sets against the face paths and corner counts, the
-integer-keyed edge table, the vertex mask of each face and the face list
-of each vertex against the face paths (after every apply and every undo,
-with or without the pair prune), the saturated-neighbour sets against
-the edge table, the open-label set against the corner counts, and the
-once-per-end fan verdict against the fan test of each candidate that ends
-no arc of the fan; where that verdict is False, every child ends an arc.
-Each undo must restore the whole search state, journal length included.
-At every node it checks the facts the kernel reads instead of storing: only
-the last face can be open, a fan is closed exactly when it has d corners,
-and under the pair prune no two faces share two edges.  It also checks the
+corner, the fans that get a new corner.  The corner quota (a label with
+all m_q of its q-corners joins no further q-gon) is held against the
+oracle's own count of q-corners from the face paths (oracles.size_corners).
+The walk also holds the kernel's shortcuts against plain derivations: the
+children of each node against the passing candidates of both ends, taken
+in branching order, less the labels the quota drops, and the sizes of each
+start node against the arc word and the quota of both ends of the new
+face; the candidate sets against the face paths and corner counts, the
+integer-keyed edge table, the vertex mask of each face, the face list of
+each vertex and the quota table against the face paths (after every apply
+and every undo, with or without the pair prune), the saturated-neighbour
+sets against the edge table, the open-label set against the corner
+counts, and the once-per-end fan verdict against the fan test of each
+candidate that ends no arc of the fan; where that verdict is False, every
+child ends an arc.  Each undo must restore the whole search state, journal
+length included.  At every node it checks the facts the kernel reads
+instead of storing: only the last face can be open, a fan is closed
+exactly when it has d corners, no label holds more than m_q q-corners, and
+under the pair prune no two faces share two edges.  It also checks the
 facts that spare the kernel a test: at a closing node neither end of the
-open face has a full fan, and at a completion the last face is closed and
-all n labels are taken exactly when every face budget is spent.  The
-oracle reads closedness from path lengths and tests words against the type
-cycle itself, not against the kernel's tables.
+open face has a full fan; closing the last q-gon leaves all n labels taken,
+each with its m_q q-corners (the size supply, so no closing step checks it);
+and at a completion the last face is closed and all n labels are taken
+exactly when every size has its n*m_q/q faces.  The oracle reads
+closedness from path lengths and tests words against the type cycle
+itself, not against the kernel's tables.
 """
 
 import pytest
 
-from oracles import validate_vertex
+from oracles import size_corners, size_supply_holds, validate_vertex
 from semeq.enumerator import EnumOptions, _Search, enumerate_maps
-from semeq.typecalc import face_counts, parse_type
+from semeq.typecalc import parse_type
+
+
+def _embeds(st, word):
+    """word is a run of consecutive sizes of the type cycle, read in either
+    direction."""
+    cycle = "".join(st.size_char[s] for s in st.cycle)
+    return word in cycle * 2 or word in cycle[::-1] * 2
 
 
 class _View:
@@ -48,8 +61,6 @@ class _View:
         self.paths[fid] = path = st.fpath[fid] + [y]
         self.closed = [len(p) == s for p, s in zip(st.fpath, st.fsize)]
         self.closed[fid] = close
-        word = "".join(st.size_char[s] for s in st.cycle)
-        self.cycle2, self.rcycle2 = word * 2, word[::-1] * 2
         self.edges = edges
         self.new_edges = {frozenset(path[-2:])}
         if close:
@@ -69,7 +80,7 @@ class _View:
         return self.st.size_char[self.st.fsize[f]]
 
     def embeds(self, word):
-        return word in self.cycle2 or word in self.rcycle2
+        return _embeds(self.st, word)
 
     def corners(self, v):
         out = {}
@@ -249,12 +260,20 @@ def _vertex_tables_ok(st):
     return st.fmask == masks and st.vfaces == faces
 
 
+def _quota(st, q):
+    """m_q, the q-corners of a vertex of the type."""
+    return st.cycle.count(q)
+
+
 def _tables_ok(st):
-    """The edge table, the vertex tables of the faces and the
-    saturated-neighbour sets equal their recomputation from the face
+    """The edge table, the vertex tables of the faces, the quota table and
+    the saturated-neighbour sets equal their recomputation from the face
     paths."""
     edges = _edges_of(st)
     if edges != _edge_map(st) or not _vertex_tables_ok(st):
+        return False
+    counts = size_corners(st)
+    if st.lacks != {q: [_quota(st, q) - k for k in ks] for q, ks in counts.items()}:
         return False
     want = [set() for _ in st.saturated]
     for key, faces in edges.items():
@@ -276,6 +295,8 @@ def _invariants_ok(st):
     for v in range(1, st.n + 1):
         if (st.corner_count[v] == st.d) != (st.corner_count[v] > 0 and not st.ends[v]):
             return False  # a full fan that is open, or a closed one short of d
+    if any(k > _quota(st, q) for q, ks in size_corners(st).items() for k in ks):
+        return False  # a label over its corner quota
     if st.pair_prune:
         pairs = [tuple(faces) for faces in _edge_map(st).values() if len(faces) == 2]
         if len(pairs) != len({frozenset(p) for p in pairs}):
@@ -291,7 +312,7 @@ def _snapshot(st):
 
     return (lists(st.fpath), list(st.fsize), lists(st.edge_faces), list(st.fmask),
             lists(st.vfaces), [set(x) for x in st.saturated], [dict(x) for x in st.ends],
-            list(st.corner_count), dict(st.budget), st.labels_used, set(st.open),
+            list(st.corner_count), lists(st.lacks.values()), st.labels_used, set(st.open),
             len(st.journal))
 
 
@@ -346,15 +367,21 @@ def _passing(st, edges, fid, cands, raw, at_head):
     return out
 
 
+def _faces_spent(st, q):
+    """Whether st holds all n*m_q/q faces of size q."""
+    return st.fsize.count(q) * q == st.n * _quota(st, q)
+
+
 def _walk(st, tally):
     """The search tree of _run, checking every candidate at both ends of the
-    open face, the children find_slot keeps, the candidate sets, the edge
-    table and the vertex tables of the faces, the saturated sets, the
-    open-label set, the state each undo restores, the facts the kernel
-    reads instead of storing and those that spare it a test.  The tables
-    are checked after every step applied, rejected or not, and after every
-    undo."""
+    open face, the children find_slot keeps, the sizes of each start node,
+    the candidate sets, the edge table, the vertex tables of the faces and
+    the quota table, the saturated sets, the open-label set, the state each
+    undo restores, the facts the kernel reads instead of storing and those
+    that spare it a test.  The tables are checked after every step applied,
+    rejected or not, and after every undo."""
     assert _invariants_ok(st), st.fpath
+    counts = size_corners(st)
     if len(st.fpath[-1]) < st.fsize[-1]:  # a seeded state always has faces
         fid = len(st.fsize) - 1
         edges = _edge_map(st)
@@ -376,18 +403,22 @@ def _walk(st, tally):
     if slot[0] == "complete":
         # _on_complete tests the label count alone
         assert len(st.fpath[-1]) == st.fsize[-1], st.fpath
-        assert (st.labels_used == st.n) == (not any(st.budget.values())), st.fpath
+        spent = all(_faces_spent(st, q) for q in counts)
+        assert (st.labels_used == st.n) == spent, st.fpath
         tally["short"] += st.labels_used != st.n
         return
     if slot[0] == "extend":
         _, fid, rejected, kids = slot
         chosen = int(st.fpath[fid] != before)  # 1 when find_slot reversed the path
         first = int(len(raw[1]) < len(raw[0]))
-        # the children are the passing candidates of the chosen end, in order
-        assert kids == passing[chosen], st.fpath
+        # the children are the passing candidates of the chosen end, in
+        # order, less those that already have all their q-corners
+        q = st.fsize[fid]
+        assert kids == [y for y in passing[chosen] if counts[q][y] < _quota(st, q)], st.fpath
         assert rejected == len(raw[chosen]) - len(kids)
+        tally["quota"] += len(passing[chosen]) - len(kids)
         # the other end never has strictly fewer passing candidates
-        assert len(passing[1 - chosen]) >= len(kids), st.fpath
+        assert len(passing[1 - chosen]) >= len(passing[chosen]), st.fpath
         if closing or not passing[first]:
             # closing nodes, and dead ends, keep the shorter raw list
             assert chosen == first, st.fpath
@@ -403,18 +434,27 @@ def _walk(st, tally):
         for y in kids:
             m = len(st.journal)
             before_step = _snapshot(st)
-            ok = st._append_vertex(fid, y)
+            st._append_vertex(fid, y)  # a child is never rejected once applied
             assert _tables_ok(st), st.fpath
-            if ok:
-                tally["nodes"] += 1
-                _walk(st, tally)
-            else:
-                tally["late"] += 1
+            if closing:
+                # once the last q-gon closes, every label is taken and has
+                # its m_q q-corners: the size supply no step needs to check
+                assert size_supply_holds(st, q), st.fpath
+                tally["last"] += _faces_spent(st, q)
+            tally["nodes"] += 1
+            _walk(st, tally)
             st.undo_to(m)
             assert _tables_ok(st), st.fpath
             assert _snapshot(st) == before_step, st.fpath
     else:
         _, v, x, sizes = slot
+        # the sizes whose face extends the arc of v that ends at x, read
+        # from x, and that both v and x lack a corner of
+        word = st.ends[v][x][1]
+        assert x == min(st.ends[v]), st.fpath
+        assert sizes == [s for s in st.sizes_sorted
+                         if _embeds(st, st.size_char[s] + word)
+                         and max(counts[s][v], counts[s][x]) < _quota(st, s)], st.fpath
         for s in sizes:
             m = len(st.journal)
             before_step = _snapshot(st)
@@ -437,6 +477,7 @@ ROWS = [
     ("[3,4,3,4]", 12, 2),
     ("[3^5,4^1]", 12, -1),
     ("[3^6]", 9, 0),  # 5 of its 21 completions take fewer than 9 labels
+    ("[3^2,4^1,3^1,4^1]", 16, 0),  # faces that fail once begun
 ]
 
 
@@ -455,8 +496,9 @@ def test_early_rejection_matches_full_step_with_pair_prune():
 
 def _check_walk(tstr, n, chi, pair_prune):
     spec = parse_type(tstr)
-    st = _Search(spec.cycle, n, face_counts(spec, n), pair_prune)
-    tally = {"nodes": 0, "early": 0, "late": 0, "switched": 0, "short": 0}
+    st = _Search(spec.cycle, n, pair_prune)
+    tally = {"nodes": 0, "early": 0, "late": 0, "switched": 0, "short": 0, "quota": 0,
+             "last": 0}
     assert _tables_ok(st)
     _walk(st, tally)
     stats = enumerate_maps(tstr, n, chi, EnumOptions(disable_pair_prune=not pair_prune)).stats
@@ -464,4 +506,9 @@ def _check_walk(tstr, n, chi, pair_prune):
     assert tally["early"] + tally["late"] == stats.prunes.get("constraint", 0)
     assert tally["short"] == stats.rejected_wrong_size
     if stats.nodes > 1000:
-        assert tally["early"] > 0 and tally["late"] > 0 and tally["switched"] > 0
+        assert tally["early"] > 0 and tally["switched"] > 0
+        assert tally["quota"] > 0 and tally["last"] > 0
+    if (tstr, n) == ("[3^2,4^1,3^1,4^1]", 16):
+        # only a face begun before its second vertex is tested can fail
+        # once applied; [3^5,4^1]/12 has none
+        assert tally["late"] > 0

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from math import gcd, lcm
 
 import pytest
 
 from conftest import ICOSAHEDRON
+from oracles import size_supply_holds
 from semeq import enumerator, symmetry
 from semeq.census import analyze_map
 from semeq.enumerator import (
@@ -177,9 +179,9 @@ def test_root_star_assembles_whenever_diagnostic_passes():
     # its full root star
     rows = list(_diagnosed_rows(6, 12, 120))
     assert len(rows) == 47550
-    for cyc, n, xs in rows:
+    for cyc, n, _ in rows:
         for pair_prune in (True, False):
-            st = _Search(cyc, n, xs, pair_prune)
+            st = _Search(cyc, n, pair_prune)
             assert st.corner_count[1] == st.d, (cyc, n, pair_prune)
 
 
@@ -299,12 +301,24 @@ def test_format2_checkpoint_rejected(tmp_path, complete_checkpoint):
         enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
 
 
+def test_format3_checkpoint_rejected(tmp_path, complete_checkpoint):
+    # a format-3 path indexes the passing children before the corner quota
+    # dropped some: it could name another subtree, and a resume would then
+    # report complete=True with maps missing
+    path = tmp_path / "ck.json"
+    doc = {**complete_checkpoint, "format": "semeq-checkpoint/3",
+           "pending": [[0, 0, 0, 0, 0, 0, 0, 0, 1, 0]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptCheckpointError, match="format-3.*no longer read"):
+        enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=str(path)))
+
+
 # each edit of a finished checkpoint, and the message its resume must give
 MALFORMED = {
     "not-utf8": (lambda doc: b'{"format": "\xff"}', "undecodable"),
     "not-an-object": (lambda doc: [doc], "undecodable"),
     "missing-key": (lambda doc: {k: v for k, v in doc.items() if k != "stats"}, "undecodable"),
-    "wrong-format": (lambda doc: {**doc, "format": "semeq-checkpoint/4"}, "format"),
+    "wrong-format": (lambda doc: {**doc, "format": "semeq-checkpoint/5"}, "format"),
     "pending-negative": (lambda doc: {**doc, "pending": [[0, 1, -1]]}, "-1"),
     "pending-true": (lambda doc: {**doc, "pending": [[0, 1, True]]}, "True"),
     "stats-negative": (lambda doc: {**doc, "stats": {**doc["stats"], "nodes": -5}}, "-5"),
@@ -362,10 +376,11 @@ def test_interrupted_checkpoint_resume(tmp_path, census_35_4):
 # same nodes, prune the same candidates and address subtrees the same way.
 # The counts are those of fail-first branching (each extension node takes the
 # face end with fewer passing children) with each face pair decided when it
-# forms; censusbench/baseline.json still holds the counts from before both.
+# forms and the corner quota applied to the children of the chosen end;
+# censusbench/baseline.json still holds the counts from before all three.
 @pytest.mark.parametrize("tstr,nodes,completions,prunes", [
-    ("[3^1,4^1,3^1,4^2]", 6919, 4, {"constraint": 20729}),
-    ("[3^5,4^1]", 8465, 32, {"constraint": 20737}),
+    ("[3^1,4^1,3^1,4^2]", 6845, 4, {"constraint": 20331}),
+    ("[3^5,4^1]", 5331, 32, {"constraint": 10027}),
 ], ids=["[3^1,4^1,3^1,4^2]", "[3^5,4^1]"])
 def test_search_tree_pinned(tstr, nodes, completions, prunes):
     stats = enumerate_maps(tstr, 12, -1).stats
@@ -375,8 +390,8 @@ def test_search_tree_pinned(tstr, nodes, completions, prunes):
 # without the pair prune the tree depends on the other checks alone, and the
 # final validator rejects the completions that the pair test would cut
 @pytest.mark.parametrize("tstr,nodes,completions,prunes,nonpolyhedral", [
-    ("[3^1,4^1,3^1,4^2]", 32012, 12, {"constraint": 90291}, 8),
-    ("[3^5,4^1]", 16097, 40, {"constraint": 36762}, 8),
+    ("[3^1,4^1,3^1,4^2]", 31044, 12, {"constraint": 84576}, 8),
+    ("[3^5,4^1]", 11367, 40, {"constraint": 20720}, 8),
 ], ids=["[3^1,4^1,3^1,4^2]", "[3^5,4^1]"])
 def test_no_pair_prune_tree_pinned(tstr, nodes, completions, prunes, nonpolyhedral):
     stats = enumerate_maps(tstr, 12, -1, EnumOptions(disable_pair_prune=True)).stats
@@ -386,8 +401,8 @@ def test_no_pair_prune_tree_pinned(tstr, nodes, completions, prunes, nonpolyhedr
 
 # the same contract outside chi = -1, on the two largest sphere rows
 @pytest.mark.parametrize("tstr,n,nodes", [
-    ("[4^1,6^1,10^1]", 120, 58480),
-    ("[3^4,5^1]", 60, 25094),
+    ("[4^1,6^1,10^1]", 120, 39361),
+    ("[3^4,5^1]", 60, 3041),
 ], ids=["[4^1,6^1,10^1]", "[3^4,5^1]"])
 def test_sphere_search_tree_pinned(tstr, n, nodes):
     assert enumerate_maps(tstr, n, 2).stats.nodes == nodes
@@ -401,21 +416,20 @@ def test_checkpoint_subtree_paths_pinned(tmp_path):
     assert not r.complete
     with open(path, "rb") as fh:
         _, pending, _, _ = _checkpoint_parse(fh.read())
-    assert len(pending) == 111
+    assert len(pending) == 93
     assert pending[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
     digest = hashlib.sha256(json.dumps([list(p) for p in pending]).encode()).hexdigest()
-    assert digest == "f27e06f45f6ce596cb3909f8876f59b0b032aa2579d69817a297c940e5cd852c"
+    assert digest == "9125b0aae39751099360d277719ef248c88dcd5443cea65b70459b853578cb42"
 
 
-def _resume_with_first_path(tmp_path, tampered):
-    """Cut [3^5,4^1]/12 at one node, let ``tampered`` rewrite the pending
-    paths (a path lists indices of a node's children, the candidates that
-    passed), and resume from the rewritten checkpoint."""
+def _resume_with_first_path(tmp_path, tampered, tstr="[3^5,4^1]"):
+    """Cut the chi = -1 row tstr/12 at one node, let ``tampered`` rewrite the
+    pending paths (a path lists indices of a node's children, the
+    candidates that passed), and resume from the rewritten checkpoint."""
     path = str(tmp_path / "ck.bin")
-    enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=1))
+    enumerate_maps(tstr, 12, -1, EnumOptions(checkpoint_path=path, node_budget=1))
     with open(path, "rb") as fh:
         header, pending, maps, stats = _checkpoint_parse(fh.read())
-    assert pending[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
     new = tampered(pending)
     # the tampered path replaces the one it extends (the first one when it
     # extends none), so that no two pending paths overlap
@@ -423,26 +437,37 @@ def _resume_with_first_path(tmp_path, tampered):
     pending[at] = new
     with open(path, "wb") as fh:
         fh.write(_checkpoint_bytes(header, pending, maps, stats))
-    return enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
+    return enumerate_maps(tstr, 12, -1, EnumOptions(checkpoint_path=path))
 
 
 def test_tampered_path_with_rejected_step_refused(tmp_path):
-    # a pending path is replaced by one whose last index names a child whose
-    # step is rejected once applied: the resume must refuse the checkpoint
-    # rather than count the subtree as searched
-    for step in ("start", "closing"):  # a new face, or a size supply spent
-        rejected = _first_path("[3^5,4^1]", 12, step)
-        assert rejected is not None
-        (tmp_path / step).mkdir()
-        with pytest.raises(CorruptCheckpointError, match="rejected at replay"):
-            _resume_with_first_path(tmp_path / step, lambda pending: rejected)
+    # a pending path is replaced by one whose last index names a new face
+    # that is rejected once begun: the resume must refuse the checkpoint
+    # rather than count the subtree as searched.  [3^5,4^1]/12 begins no
+    # such face, so the path is one of [3^1,4^1,3^1,4^2]/12
+    rejected = _first_path("[3^1,4^1,3^1,4^2]", 12, "start")
+    assert rejected is not None and _first_path("[3^5,4^1]", 12, "start") is None
+    with pytest.raises(CorruptCheckpointError, match="rejected at replay"):
+        _resume_with_first_path(tmp_path, lambda pending: rejected, "[3^1,4^1,3^1,4^2]")
+
+
+def test_closing_step_never_rejected():
+    # a child that closes a face lacks a corner of its size, so no label
+    # goes over its corner quota, and closing the last q-gon leaves every
+    # label with its q-corners: no closing step fails the size supply
+    for tstr in ("[3^5,4^1]", "[3^1,4^1,3^1,4^2]"):
+        assert _first_path(tstr, 12, "closing") is None
 
 
 def test_tampered_path_past_children_refused(tmp_path):
     # the last node of the first pending path has four raw candidates, of
-    # which three pass: index 3 names a candidate, but no child
+    # which one is a child: index 3 names a candidate, but no child
+    def past_children(pending):
+        assert pending[0] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+        return pending[0][:-1] + (3,)
+
     with pytest.raises(CorruptCheckpointError, match="does not exist"):
-        _resume_with_first_path(tmp_path, lambda pending: pending[0][:-1] + (3,))
+        _resume_with_first_path(tmp_path, past_children)
 
 
 def test_overlapping_pending_paths_refused(tmp_path):
@@ -464,9 +489,10 @@ def _first_path(tstr, n, target):
     """The child indices, as find_slot lists them, from the root of the
     search to the first node it completes in depth-first order (target
     "leaf"), or to the first child whose step is rejected once applied: a
-    new face ("start") or a step that closes the open face ("closing")."""
+    new face ("start"), or a step that closes the open face and leaves the
+    size supply short ("closing")."""
     spec = parse_type(tstr)
-    st = _Search(spec.cycle, n, face_counts(spec, n), True)
+    st = _Search(spec.cycle, n, True)
 
     def dfs():
         kind, a, b, cands = st.find_slot()
@@ -476,7 +502,11 @@ def _first_path(tstr, n, target):
             "closing" if len(st.fpath[a]) + 1 == st.fsize[a] else "extend")
         for idx, cand in enumerate(cands):
             mark = len(st.journal)
-            ok = st._start_face(cand, b, a) if kind == "start" else st._append_vertex(a, cand)
+            if kind == "start":
+                ok = st._start_face(cand, b, a)
+            else:
+                st._append_vertex(a, cand)  # it returns no verdict
+                ok = step != "closing" or size_supply_holds(st, st.fsize[a])
             rest = dfs() if ok else (() if step == target else None)
             st.undo_to(mark)
             if rest is not None:
@@ -504,6 +534,55 @@ def test_fresh_first_witness_pinned():
     )
 
 
+def test_3_4_7_1_n42_has_no_map():
+    # the published count of this row, reproduced by exhaustive search: the
+    # corner quota finishes a tree that ran past 10,000,000 nodes without it
+    r = enumerate_maps("[3^4,7^1]", 42, -1)
+    assert r.complete and r.maps == ()
+    assert r.stats.nodes == 739148
+
+
+class _NoQuotaSearch(_Search):
+    """The search without the corner quota: every label always lacks a
+    corner of every size, so none is ever dropped."""
+
+    def seed(self):
+        self.lacks = {s: [self.d * self.n] * (self.n + 1) for s in self.lacks}
+        super().seed()
+
+
+def _accepted(monkeypatch, search, tstr, n, chi):
+    """A run of the search class ``search``, and the completions it accepts
+    per canonical code."""
+    accepted = Counter()
+    class_code = enumerator._class_code
+
+    def counting(m, cycle):
+        code = class_code(m, cycle)
+        accepted[code] += 1
+        return code
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_Search", search)
+        patch.setattr(enumerator, "_class_code", counting)
+        return enumerate_maps(tstr, n, chi), accepted
+
+
+@pytest.mark.parametrize("tstr,n,chi", [
+    ("[3^5,4^1]", 12, -1), ("[3^1,4^1,3^1,4^2]", 12, -1), ("[3^6]", 12, 0), ("[4^4]", 12, 0),
+    ("[3^2,4^1,3^1,4^1]", 16, 0), ("[3^4,4^1]", 24, 2), ("[4^2,6^1]", 12, 2), ("[4^1,6^2]", 24, 2),
+])
+def test_corner_quota_keeps_every_map(monkeypatch, tstr, n, chi):
+    # the quota only drops subtrees without a map, and branch order stays,
+    # so each class is completed as often, and first, as without it
+    plain, plain_accepted = _accepted(monkeypatch, _NoQuotaSearch, tstr, n, chi)
+    r, accepted = _accepted(monkeypatch, _Search, tstr, n, chi)
+    assert r.complete and plain.complete
+    assert r.codes == plain.codes and accepted == plain_accepted
+    assert [dumps(m) for m in r.maps] == [dumps(m) for m in plain.maps]
+    assert r.stats.nodes <= plain.stats.nodes
+
+
 def test_cut_witness_run_pinned():
     # the row where candidates that end no arc are skipped most often; a
     # budget cut shows that each opened extension node counts its rejected
@@ -514,7 +593,7 @@ def test_cut_witness_run_pinned():
     assert r.stats.to_dict() == {
         "nodes": 2001, "completions": 0, "rejected_nonpolyhedral": 0,
         "rejected_wrong_type": 0, "rejected_wrong_size": 0,
-        "prunes": {"budget": 1, "constraint": 65149},
+        "prunes": {"budget": 1, "constraint": 59327},
     }
 
 
@@ -532,8 +611,8 @@ def test_resumed_run_counts_each_node_once(tmp_path, threads):
                              EnumOptions(checkpoint_path=path, threads=threads))
     assert resumed.complete
     assert resumed.stats.to_dict() == enumerate_maps("[3^5,4^1]", 12, -1).stats.to_dict()
-    assert resumed.stats.nodes == 8465
-    assert resumed.stats.prunes == {"constraint": 20737}
+    assert resumed.stats.nodes == 5331
+    assert resumed.stats.prunes == {"constraint": 10027}
 
 
 def test_empty_frontier_still_checkpointed(tmp_path):
@@ -724,14 +803,14 @@ def test_resumed_run_scans_each_class_once(tmp_path, scans, census_35_4):
 
 
 def test_checkpoint_maps_join_class_table(tmp_path, scans, census_35_4):
-    # the cut run saves all 3 classes with 18 paths still pending: the load
+    # the cut run saves all 3 classes with 10 paths still pending: the load
     # scans each saved map once, and the classes enter the class table, so
     # their later completions and the analysis scan nothing more
     path = str(tmp_path / "ck.json")
     enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path, node_budget=20000))
     with open(path, "rb") as fh:
         _, pending, saved, _ = _checkpoint_parse(fh.read())
-    assert (len(saved), len(pending)) == (3, 18)
+    assert (len(saved), len(pending)) == (3, 10)
     scans.clear()
     r = enumerate_maps("[3^5,4^1]", 12, -1, EnumOptions(checkpoint_path=path))
     for m in r.maps:
